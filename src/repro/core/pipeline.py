@@ -77,7 +77,12 @@ from repro.core.resilience import (
     ResiliencePolicy,
     call_with_deadline,
 )
-from repro.core.selector import SelectorDecision, resolve_selector
+from repro.core.selector import (
+    ProbeTrial,
+    SelectorDecision,
+    capture_probe_trial,
+    resolve_selector,
+)
 from repro.core.workspace import ChunkWorkspace
 from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
@@ -274,6 +279,8 @@ class EncodedChunk:
     cause: str | None = None
     #: Message of the last primary-codec error, when there was one.
     error: str | None = None
+    #: True when the solver stream is the selector probe's own.
+    reused_trial: bool = False
 
 
 def _fallback_streams(
@@ -320,6 +327,7 @@ def encode_chunk_payload(
     chunk_index: int = 0,
     tracer: AnyTracer = NULL_TRACER,
     workspace: ChunkWorkspace | None = None,
+    trial: ProbeTrial | None = None,
 ) -> EncodedChunk:
     """Encode one analyzed chunk into its container payload streams.
 
@@ -342,6 +350,12 @@ def encode_chunk_payload(
     stdlib ``zlib``, then raw passthrough — instead of failing the run.
     A strict policy raises :class:`~repro.core.exceptions.CodecError`
     once the primary codec is exhausted.
+
+    ``trial`` is the selector probe's winning stream.  When it
+    :meth:`~repro.core.selector.ProbeTrial.fits` this chunk's solver
+    stream and codec (and the policy's deadline), the first attempt
+    takes its compressed bytes instead of calling the codec; the
+    breaker, round-trip verification and accounting run unchanged.
     """
     raw_nbytes = _buffer_nbytes(raw)
     partition_seconds = 0.0
@@ -372,6 +386,11 @@ def encode_chunk_payload(
     )
     max_attempts = policy.max_attempts if policy is not None else 1
 
+    reusable = (
+        trial.compressed
+        if trial is not None and trial.fits(codec, payload, deadline)
+        else None
+    )
     attempts = 0
     cause: str | None = None
     last_error: BaseException | None = None
@@ -385,9 +404,12 @@ def encode_chunk_payload(
             attempts += 1
             solve_start = time.perf_counter()
             try:
-                compressed = call_with_deadline(
-                    codec.compress, payload, deadline
-                )
+                if attempts == 1 and reusable is not None:
+                    compressed = reusable
+                else:
+                    compressed = call_with_deadline(
+                        codec.compress, payload, deadline
+                    )
                 if policy is not None and policy.verify_roundtrip:
                     restored = call_with_deadline(
                         codec.decompress, compressed, deadline
@@ -435,6 +457,7 @@ def encode_chunk_payload(
                 degraded=False,
                 attempts=attempts,
                 retries=attempts - 1,
+                reused_trial=attempts == 1 and reusable is not None,
             )
     else:
         cause = "breaker_open"
@@ -774,7 +797,7 @@ class IsobarCompressor:
         flat = arr.reshape(-1)
 
         select_start = time.perf_counter()
-        decision, codec, lead_analysis, lead_seconds = self._decide(
+        decision, codec, lead_analysis, lead_seconds, trial = self._decide(
             flat, tracer
         )
         select_seconds = time.perf_counter() - select_start - lead_seconds
@@ -790,6 +813,7 @@ class IsobarCompressor:
             blob, report = self._compress_chunk(
                 span.index, chunk, decision, codec, tracer,
                 analysis=lead_analysis if span.index == 0 else None,
+                trial=trial if span.index == 0 else None,
             )
             chunk_blobs.append(blob)
             reports.append(report)
@@ -864,14 +888,20 @@ class IsobarCompressor:
 
     def _decide(
         self, flat: np.ndarray, tracer: AnyTracer = NULL_TRACER
-    ) -> tuple[SelectorDecision, Codec, AnalysisResult | None, float]:
+    ) -> tuple[
+        SelectorDecision, Codec, AnalysisResult | None, float,
+        ProbeTrial | None,
+    ]:
         """Run the selector on the leading chunk's analysis.
 
         Returns the decision, the codec, the lead chunk's analysis
-        (reusable verbatim for chunk 0, which *is* the lead sample) and
-        the seconds that analysis took — attributed to the ``analyze``
+        (reusable verbatim for chunk 0, which *is* the lead sample), the
+        seconds that analysis took — attributed to the ``analyze``
         stage here so the select stage only accounts for the sampling
-        race itself.
+        race itself — and the probe's winning trial when chunk 0 may
+        store it: the decision is this call's only probe, its sample is
+        the whole input, the input is one chunk, and the probe
+        partitioned by chunk 0's analysis.
         """
         if flat.size == 0:
             # Empty stream: nothing to sample; fall back to configured
@@ -886,14 +916,15 @@ class IsobarCompressor:
                 candidates=(),
                 sample_elements=0,
             )
-            return decision, get_codec(codec_name), None, 0.0
+            return decision, get_codec(codec_name), None, 0.0, None
         lead = flat[: min(flat.size, self._config.chunk_elements)]
         analyze_start = time.perf_counter()
         analysis = analyze(lead, tau=self._config.tau)
         lead_seconds = time.perf_counter() - analyze_start
         tracer.add("analyze", lead_seconds, bytes_in=lead.nbytes)
         try:
-            decision = self._selector.select(flat, analysis=analysis)
+            with capture_probe_trial() as trials:
+                decision = self._selector.select(flat, analysis=analysis)
         except SelectorError:
             # Every candidate evaluation failed.  Under a resilience
             # policy the run must still proceed: fall back to the
@@ -911,7 +942,20 @@ class IsobarCompressor:
                 candidates=(),
                 sample_elements=0,
             )
-        return decision, get_codec(decision.codec_name), analysis, lead_seconds
+            trials = []  # the fallback decision is no probe's
+        trial = trials[0] if len(trials) == 1 else None
+        if trial is not None and not (
+            decision.origin == "probe"
+            and (trial.codec.name, trial.linearization)
+            == (decision.codec_name, decision.linearization)
+            and trial.sample_elements == flat.size == lead.size
+            and trial.analysis is analysis
+        ):
+            trial = None
+        return (
+            decision, get_codec(decision.codec_name), analysis,
+            lead_seconds, trial,
+        )
 
     def _compress_chunk(
         self,
@@ -921,6 +965,7 @@ class IsobarCompressor:
         codec: Codec,
         tracer: AnyTracer = NULL_TRACER,
         analysis: AnalysisResult | None = None,
+        trial: ProbeTrial | None = None,
     ) -> tuple[bytes, ChunkReport]:
         # Zero-copy on the hot path: for little-endian contiguous input
         # this views the chunk's own bytes (no per-chunk matrix copy);
@@ -945,6 +990,7 @@ class IsobarCompressor:
             chunk_index=index,
             tracer=tracer,
             workspace=self._workspace(),
+            trial=trial,
         )
         compress_seconds = encoded.partition_seconds + encoded.solve_seconds
 
@@ -994,6 +1040,8 @@ class IsobarCompressor:
                 self._instruments.chunks_degraded.inc(
                     1, cause=encoded.cause or "error"
                 )
+            if encoded.reused_trial:
+                self._instruments.selector_trials_reused.inc()
         return blob, report
 
     # -- decompression ----------------------------------------------------

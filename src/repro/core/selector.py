@@ -14,6 +14,14 @@ Explicit user overrides of the codec and/or linearization restrict the
 candidate set rather than bypassing the evaluation, so the decision
 record always carries measured numbers.
 
+A probe partitions the sample once per linearization and compresses
+each distinct solver stream once per codec (an undetermined sample
+passes to the solver whole, so both linearizations share one stream).
+The winning candidate's compressed stream is offered, as a
+:class:`ProbeTrial`, to a caller that opened
+:func:`capture_probe_trial` around the call — the pipeline stores it as
+chunk 0's payload when the sample is the whole single-chunk input.
+
 Sampling note: the paper samples "random elements"; we sample a few
 random *contiguous runs* totalling the same element count, because
 scattering individual elements would destroy the byte-stream locality
@@ -25,12 +33,14 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.codecs.base import get_codec
+from repro.codecs.base import Codec, get_codec
 from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.exceptions import ConfigurationError, SelectorError
 from repro.core.partitioner import partition
@@ -42,9 +52,11 @@ __all__ = [
     "CandidateEvaluation",
     "CandidateFailure",
     "CandidatePrediction",
+    "ProbeTrial",
     "SelectorDecision",
     "SelectorStrategy",
     "EupaSelector",
+    "capture_probe_trial",
     "register_selector_strategy",
     "selector_strategy_names",
     "resolve_selector",
@@ -210,6 +222,124 @@ class SelectorDecision:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class ProbeTrial:
+    """The winning candidate's solver stream and its compressed form.
+
+    Never part of a :class:`SelectorDecision`: a probe hands it only to
+    a caller that opened :func:`capture_probe_trial` around the call.
+    """
+
+    codec: Codec
+    linearization: Linearization
+    #: The analyzer verdict the probe partitioned by.
+    analysis: AnalysisResult
+    sample_elements: int
+    payload: bytes
+    compressed: bytes
+    #: Seconds ``codec.compress(payload)`` took in the probe.
+    compress_seconds: float
+
+    def fits(
+        self, codec: Codec, payload: bytes, deadline: float | None
+    ) -> bool:
+        """Whether ``compressed`` is ``codec.compress(payload)``, made
+        within ``deadline`` seconds (``None``: no deadline)."""
+        return (
+            self.codec is codec
+            and (deadline is None or self.compress_seconds <= deadline)
+            and self.payload == payload
+        )
+
+
+_TRIAL_SINK: ContextVar[list[ProbeTrial] | None] = ContextVar(
+    "repro_probe_trial_sink", default=None
+)
+
+
+@contextmanager
+def capture_probe_trial() -> Iterator[list[ProbeTrial]]:
+    """Collect the winning :class:`ProbeTrial` of every probe run in
+    this thread (context) inside the block; outside it none is kept."""
+    sink: list[ProbeTrial] = []
+    token = _TRIAL_SINK.set(sink)
+    try:
+        yield sink
+    finally:
+        _TRIAL_SINK.reset(token)
+
+
+#: ``(solver stream, noise bytes, seconds to build the stream)``.
+_Stream = tuple[bytes, int, float]
+#: ``(codec, compressed stream, seconds the codec took)``.
+_Compressed = tuple[Codec, bytes, float]
+
+
+class _ProbeMemo:
+    """One probe's work: each linearization is partitioned once and each
+    distinct (codec, solver stream) is compressed once."""
+
+    def __init__(self, sample: np.ndarray, analysis: AnalysisResult):
+        self._sample = sample
+        self._analysis = analysis
+        self._streams: dict[Linearization | None, _Stream] = {}
+        self._compressed: dict[tuple[str, bytes], _Compressed] = {}
+
+    def _stream(self, linearization: Linearization) -> _Stream:
+        # An undetermined sample passes to the solver whole, so every
+        # linearization shares one stream.
+        key = linearization if self._analysis.improvable else None
+        entry = self._streams.get(key)
+        if entry is None:
+            start = time.perf_counter()
+            if self._analysis.improvable:
+                part = partition(
+                    self._sample, self._analysis.mask, linearization
+                )
+                payload, noise = part.compressible, len(part.incompressible)
+            else:
+                payload = np.ascontiguousarray(self._sample).tobytes()
+                noise = 0
+            entry = (payload, noise, time.perf_counter() - start)
+            self._streams[key] = entry
+        return entry
+
+    def evaluate(
+        self, codec_name: str, linearization: Linearization
+    ) -> CandidateEvaluation:
+        payload, noise, build_seconds = self._stream(linearization)
+        key = (codec_name, payload)
+        entry = self._compressed.get(key)
+        if entry is None:
+            codec = get_codec(codec_name)
+            start = time.perf_counter()
+            compressed = codec.compress(payload)
+            entry = (codec, compressed, time.perf_counter() - start)
+            self._compressed[key] = entry
+        return CandidateEvaluation(
+            codec_name=codec_name,
+            linearization=linearization,
+            sample_bytes=self._sample.nbytes,
+            compressed_bytes=max(len(entry[1]) + noise, 1),
+            compress_seconds=build_seconds + entry[2],
+        )
+
+    def trial(self, best: CandidateEvaluation) -> ProbeTrial:
+        payload = self._stream(best.linearization)[0]
+        codec, compressed, seconds = self._compressed[
+            (best.codec_name, payload)
+        ]
+        return ProbeTrial(
+            codec=codec,
+            linearization=best.linearization,
+            analysis=self._analysis,
+            sample_elements=int(self._sample.size),
+            payload=payload,
+            compressed=compressed,
+            compress_seconds=seconds,
+        )
+
+
 class EupaSelector:
     """Deterministic sample-based codec and linearization selection.
 
@@ -285,32 +415,6 @@ class EupaSelector:
             raise SelectorError("candidate space is empty; check configuration")
         return space
 
-    def _evaluate(
-        self,
-        sample: np.ndarray,
-        analysis: AnalysisResult,
-        codec_name: str,
-        linearization: Linearization,
-    ) -> CandidateEvaluation:
-        codec = get_codec(codec_name)
-        sample_bytes = sample.nbytes
-        start = time.perf_counter()
-        if analysis.improvable:
-            part = partition(sample, analysis.mask, linearization)
-            compressed = codec.compress(part.compressible)
-            total = len(compressed) + len(part.incompressible)
-        else:
-            compressed = codec.compress(np.ascontiguousarray(sample).tobytes())
-            total = len(compressed)
-        elapsed = time.perf_counter() - start
-        return CandidateEvaluation(
-            codec_name=codec_name,
-            linearization=linearization,
-            sample_bytes=sample_bytes,
-            compressed_bytes=max(total, 1),
-            compress_seconds=elapsed,
-        )
-
     # -- decision ---------------------------------------------------------
 
     def select(
@@ -331,13 +435,12 @@ class EupaSelector:
         if analysis is None:
             analysis = analyze(sample, tau=self._config.tau)
 
+        memo = _ProbeMemo(sample, analysis)
         evaluated: list[CandidateEvaluation] = []
         failed: list[CandidateFailure] = []
         for codec_name, lin in self._candidate_space():
             try:
-                evaluated.append(
-                    self._evaluate(sample, analysis, codec_name, lin)
-                )
+                evaluated.append(memo.evaluate(codec_name, lin))
             except Exception as exc:  # noqa: BLE001 - candidate containment
                 # A misbehaving candidate must not abort selection: it
                 # is skipped, recorded on the decision, and counted.
@@ -371,6 +474,9 @@ class EupaSelector:
             sample_elements=int(sample.size),
             failed_candidates=tuple(failed),
         )
+        sink = _TRIAL_SINK.get()
+        if sink is not None:
+            sink.append(memo.trial(best))
         if self._metrics.enabled:
             self._instruments.record_selector(decision)
             self._instruments.selector_decision_seconds.observe(

@@ -92,6 +92,11 @@ class PipelineInstruments:
         where a prediction existed, the relative sample-ratio gap
         between the predicted-best candidate and the measured winner
         (0 when the prediction would have picked the same winner).
+    ``selector_trials_reused``
+        ``isobar_selector_trials_reused_total`` — chunks whose solver
+        stream was the selector probe's winning trial (a single-chunk
+        input the probe sampled whole), stored without compressing it
+        again.
     ``parallel_queue_depth``
         ``isobar_parallel_queue_depth{queue=feed}`` gauge — jobs
         sitting in the pipelined engine's bounded feed queue.
@@ -203,6 +208,11 @@ class PipelineInstruments:
             "Relative sample-ratio regret of the prediction vs the "
             "probed winner, observed on probe fallbacks.",
             buckets=(0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5),
+        )
+        self.selector_trials_reused = registry.counter(
+            "isobar_selector_trials_reused_total",
+            "Chunks that stored the selector probe's winning stream "
+            "instead of compressing it again.",
         )
         self.parallel_queue_depth = registry.gauge(
             "isobar_parallel_queue_depth",

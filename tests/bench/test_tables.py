@@ -3,11 +3,23 @@
 The full-size regeneration lives in benchmarks/; here each table is
 built on small datasets and checked for layout and the paper's
 qualitative claims.
+
+The decompression speed-up claims (Tables II and IX) are asserted on
+process CPU seconds over fixed repeated work, which other load on the
+host does not move — the speed preference's probe included; their
+wall-clock form, as the tables report it, runs only when selected with
+``-m perf``.
 """
+
+import gc
+import time
+import types
+from unittest import mock
 
 import pytest
 
 from repro.bench.tables import (
+    TABLE2_REPRESENTATIVES,
     evaluate_many,
     section_f_consistency,
     table1_datasets,
@@ -21,16 +33,70 @@ from repro.bench.tables import (
     table9_decompression,
     table10_fpc_fpzip,
 )
-from repro.core.preferences import IsobarConfig
-from repro.datasets.registry import dataset_names, improvable_dataset_names
+import repro.core.selector as selector_mod
+from repro.codecs.base import get_codec
+from repro.core.pipeline import IsobarCompressor
+from repro.core.preferences import IsobarConfig, Preference
+from repro.datasets.registry import (
+    dataset_names,
+    get_dataset,
+    improvable_dataset_names,
+)
 
 _N = 30_000
 _CFG = IsobarConfig(sample_elements=4096)
+#: Decompressions per timed measurement.
+_REPEATS = 10
 
 
 @pytest.fixture(scope="module")
 def evaluations():
     return evaluate_many(n_elements=_N, config=_CFG)
+
+
+def _cpu_seconds(decompress, payload) -> float:
+    """Process CPU seconds of ``_REPEATS`` decompressions (after one
+    untimed warm-up call), with the garbage collector held off."""
+    decompress(payload)
+    gc.disable()
+    try:
+        start = time.process_time()
+        for _ in range(_REPEATS):
+            decompress(payload)
+        return time.process_time() - start
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def cpu_decompress_speedups():
+    """Per improvable dataset: CPU-time decompression speed-up of the
+    speed-preference container over the faster standalone solver —
+    the comparison ``DatasetEvaluation.decompress_speedup`` makes on
+    the wall clock.  The speed preference's probe ranks candidates by
+    CPU time too, so load on the host cannot swap its codec choice."""
+    cpu_clock = types.SimpleNamespace(perf_counter=time.process_time)
+    compressor = IsobarCompressor(_CFG.replace(preference=Preference.SPEED))
+    speedups = {}
+    for name in improvable_dataset_names():
+        values = get_dataset(name).generate(n_elements=_N)
+        raw = values.astype(values.dtype.newbyteorder("<")).tobytes()
+        with mock.patch.object(selector_mod, "time", cpu_clock):
+            payload = compressor.compress(values)
+        isobar = _cpu_seconds(compressor.decompress, payload)
+        standard = min(
+            _cpu_seconds(codec.decompress, codec.compress(raw))
+            for codec in (get_codec("zlib"), get_codec("bzip2"))
+        )
+        speedups[name] = standard / isobar
+    return speedups
+
+
+@pytest.fixture
+def wall_clock_selected(request):
+    """Run a wall-clock assertion only when ``-m perf`` selects it."""
+    if "perf" not in (request.config.getoption("markexpr") or ""):
+        pytest.skip("wall-clock form: select it with -m perf")
 
 
 class TestStaticTables:
@@ -92,25 +158,48 @@ class TestMeasuredTables:
         for row in report.rows:
             assert row[3] > 0  # both identified improvable with gains
 
-    def test_table9_decompression_speedups(self, evaluations):
+    def test_table9_decompression_speedups(
+        self, evaluations, cpu_decompress_speedups
+    ):
         report = table9_decompression(evaluations)
         assert len(report.rows) == len(improvable_dataset_names())
         for row in report.rows:
             assert row[3] > 0  # ISOBAR decompression throughput
-            assert row[4] > 0.7  # never collapses (noise tolerance)
-        # The headline claim holds in aggregate; single rows may lose
-        # to wall-clock jitter on the small inputs this unit test uses
-        # (the benchmarks/ version asserts the stronger 2/3 rule at
-        # larger sizes).
-        winners = sum(1 for row in report.rows if row[4] > 1.0)
+            # Never collapses (noise tolerance).
+            assert cpu_decompress_speedups[row[0]] > 0.7
+        # The headline claim holds in aggregate (the benchmarks/
+        # version asserts the stronger 2/3 rule at larger sizes).
+        winners = sum(1 for s in cpu_decompress_speedups.values() if s > 1.0)
         assert winners >= len(report.rows) // 2
 
-    def test_table2_summary(self, evaluations):
+    def test_table2_summary(self, evaluations, cpu_decompress_speedups):
         report = table2_summary(evaluations=evaluations)
         assert [row[0] for row in report.rows] == ["GTS", "XGC", "S3D",
                                                    "FLASH"]
         for row in report.rows:
             assert row[1] > 0  # dCR
+            # Decompression speed-up.
+            assert cpu_decompress_speedups[TABLE2_REPRESENTATIVES[row[0]]] > 1.0
+
+
+@pytest.mark.perf
+@pytest.mark.usefixtures("wall_clock_selected")
+class TestMeasuredTablesWallClock:
+    """The speed-up claims on the wall-clock figures the tables print
+    (load-sensitive: run with ``-m perf`` on an idle machine)."""
+
+    def test_table9_decompression_speedups(self, evaluations):
+        report = table9_decompression(evaluations)
+        for row in report.rows:
+            assert row[4] > 0.7  # never collapses (noise tolerance)
+        # The headline claim holds in aggregate; single rows may lose
+        # to wall-clock jitter on the small inputs this unit test uses.
+        winners = sum(1 for row in report.rows if row[4] > 1.0)
+        assert winners >= len(report.rows) // 2
+
+    def test_table2_summary(self, evaluations):
+        report = table2_summary(evaluations=evaluations)
+        for row in report.rows:
             assert row[5] > 1.0  # decompression speed-up
 
 
