@@ -14,8 +14,15 @@ identical inputs and an identical candidate space:
 and the **ratio regret** of the learned choice against the probed
 oracle: ``(best_measured_ratio - chosen_measured_ratio) / best``.
 
-Acceptance gate (see ISSUE/ROADMAP): predict- and cache-path decision
-latency >= 5x below the probe, mean regret <= 5 %.
+A second, **mixed-size** scenario trains a fresh learned selector on
+16 consecutive 2048-element chunks of each dataset and then asks it
+about a 40 000-element body of the same dataset — the shape of a
+service that sees small and large requests — and reports the regret of
+that decision against the probed oracle.
+
+Acceptance gates (see ROADMAP): predict- and cache-path decision
+latency >= 5x below the probe, mean regret <= 5 %, mixed-size mean
+regret <= 1 %.
 
 Canonical invocation (records the repo's benchmark artifact)::
 
@@ -47,6 +54,11 @@ from repro.core.selector_learned import (
 from repro.datasets import dataset_names, generate_dataset
 
 _SMOKE_DATASETS = ("gts_phi_l", "msg_bt", "obs_error")
+
+#: Mixed-size scenario: training chunks, their size, and the query size.
+MIXED_TRAIN_CHUNKS = 16
+MIXED_TRAIN_ELEMENTS = 2048
+MIXED_QUERY_ELEMENTS = 40_000
 
 
 def _best_of(repeats: int, fn) -> tuple[float, object]:
@@ -129,6 +141,32 @@ def _measure_dataset(
     return row
 
 
+def _measure_mixed_size(name: str, seed: int, config: IsobarConfig) -> dict:
+    values = generate_dataset(
+        name, n_elements=MIXED_QUERY_ELEMENTS, seed=seed
+    )
+    learned = LearnedSelector(config, model=OnlineRatioModel())
+    size = MIXED_TRAIN_ELEMENTS
+    for i in range(MIXED_TRAIN_CHUNKS):
+        learned.select(values[i * size:(i + 1) * size])
+    decision = learned.select(values)
+    oracle = EupaSelector(config).select(values)
+    measured = {
+        (c.codec_name, c.linearization): c.ratio for c in oracle.candidates
+    }
+    best = max(measured.values())
+    chosen = measured[(decision.codec_name, decision.linearization)]
+    return {
+        "dataset": name,
+        "query_origin": decision.origin,
+        "probe_choice": f"{oracle.codec_name}+{oracle.linearization.value}",
+        "query_choice": (
+            f"{decision.codec_name}+{decision.linearization.value}"
+        ),
+        "ratio_regret": round(max(0.0, (best - chosen) / best), 5),
+    }
+
+
 def run(names: tuple[str, ...], n_elements: int, repeats: int,
         seed: int) -> dict:
     config = IsobarConfig(selector_seed=seed)
@@ -146,6 +184,23 @@ def run(names: tuple[str, ...], n_elements: int, repeats: int,
             f"[{row['probe_choice']} vs {row['predict_choice']}]",
             flush=True,
         )
+
+    mixed_rows = [_measure_mixed_size(name, seed, config) for name in names]
+    mixed_regrets = [r["ratio_regret"] for r in mixed_rows]
+    mixed = {
+        "train_chunks": MIXED_TRAIN_CHUNKS,
+        "train_elements": MIXED_TRAIN_ELEMENTS,
+        "query_elements": MIXED_QUERY_ELEMENTS,
+        "rows": mixed_rows,
+        "datasets": len(mixed_rows),
+        "predicted": sum(
+            1 for r in mixed_rows if r["query_origin"] == "predicted"
+        ),
+        "mean_ratio_regret": round(
+            sum(mixed_regrets) / len(mixed_regrets), 5
+        ),
+        "max_ratio_regret": round(max(mixed_regrets), 5),
+    }
 
     regrets = [r["ratio_regret"] for r in rows if r["ratio_regret"] is not None]
     predicted = [r for r in rows if r["predict_origin"] == "predicted"]
@@ -177,6 +232,7 @@ def run(names: tuple[str, ...], n_elements: int, repeats: int,
         },
         "rows": rows,
         "summary": summary,
+        "mixed_size": mixed,
     }
 
 
@@ -199,10 +255,13 @@ def main(argv: list[str] | None = None) -> int:
     result = run(names, elements, repeats, args.seed)
 
     summary = result["summary"]
+    mixed = result["mixed_size"]
     print(
         f"mean regret={summary['mean_ratio_regret']} "
         f"mean predict speedup={summary['mean_predict_speedup']}x "
-        f"mean cached speedup={summary['mean_cached_speedup']}x"
+        f"mean cached speedup={summary['mean_cached_speedup']}x "
+        f"mixed-size mean regret={mixed['mean_ratio_regret']} "
+        f"({mixed['predicted']} of {mixed['datasets']} predicted)"
     )
     failures = []
     if summary["predicted_path_engaged"] != summary["datasets"]:
@@ -226,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"mean cached speedup {summary['mean_cached_speedup']}x "
             "below the 5x gate"
+        )
+    if mixed["mean_ratio_regret"] > 0.01:
+        failures.append(
+            f"mixed-size mean ratio regret {mixed['mean_ratio_regret']} "
+            "above 1%"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

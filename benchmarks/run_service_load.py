@@ -14,8 +14,9 @@ Two scenarios run by default:
 * **baseline** — no faults.  The acceptance bar: every request
   answers 200/206, zero 5xx, zero sheds.
 * **chaos** — wire-level faults (delays, mid-body stalls, truncated
-  responses) *and* a flaky solver shadowing ``zlib``, against a
-  deliberately small admission queue.  The bar changes shape: every
+  responses) *and* a flaky solver shadowing ``bzip2`` (the codec the
+  selector picks for these bodies), against a deliberately small
+  admission queue.  The bar changes shape: every
   request must still **terminate** with a documented status — 200
   (possibly degraded), 429 shed, 503, 504, or a detected transport
   failure (bucketed as the synthetic status 599) — and the report
@@ -209,7 +210,7 @@ def _run_scenario(
             # the resilience layer degrades the doomed chunks and the
             # response stays 200 with X-Isobar-Degraded.
             with chaos_codec(FlakyCodec(
-                "zlib", fail_percent=flaky_percent, seed=1,
+                "bzip2", fail_percent=flaky_percent, seed=1,
             )):
                 _drive()
         else:
@@ -296,10 +297,9 @@ def run(
         workers, per_worker, n_bodies, elements = 8, 25, 8, 40_000
     bodies = _build_bodies(seed, n_bodies, elements)
 
-    baseline_config = ServiceConfig(
-        max_inflight=4, max_queue=64,
-        isobar=ServiceConfig().isobar.replace(chunk_elements=2048),
-    )
+    # Both scenarios serve the default compression config (cached
+    # selector, default chunking): what the service actually runs.
+    baseline_config = ServiceConfig(max_inflight=4, max_queue=64)
     baseline = _run_scenario(
         name="baseline", chaos=None, flaky_percent=0.0,
         workers=workers, requests_per_worker=per_worker,
@@ -313,7 +313,6 @@ def run(
     ))
     chaos_config = ServiceConfig(
         max_inflight=2, max_queue=3,  # small on purpose: force sheds
-        isobar=ServiceConfig().isobar.replace(chunk_elements=2048),
     )
     chaotic = _run_scenario(
         name="chaos", chaos=chaos, flaky_percent=20.0,

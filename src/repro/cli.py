@@ -14,7 +14,8 @@ The CLI operates on raw dataset files (see
 ``plan`` dry-runs the selector — the decision plus its evaluation or
 prediction record, no container written; ``--selector`` (also on
 ``compress``, ``stats`` and ``serve``) picks the selection strategy
-(``eupa`` default, ``learned``, ``cached`` — see ``docs/selector.md``).
+(``eupa`` default, ``cached`` for ``serve``; ``learned`` — see
+``docs/selector.md``).
 
 ``bench`` regenerates any of the paper's tables or figures on the
 synthetic datasets and prints them in the paper's layout.  ``stats``
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
     serve.add_argument("--chunk-elements", type=int, default=None)
     serve.add_argument("--tau", type=float, default=None)
-    _add_selector_argument(serve)
+    _add_selector_argument(serve, default="cached")
     serve.add_argument("--strict", action="store_true",
                        help="serve with strict resilience (degradation "
                             "becomes 503 instead of a degraded 200)")
@@ -414,19 +415,24 @@ def _apply_retry_args(
     return config.replace(resilience=policy.replace(**overrides))
 
 
-def _add_selector_argument(parser: argparse.ArgumentParser) -> None:
+def _add_selector_argument(
+    parser: argparse.ArgumentParser, default: str = "eupa"
+) -> None:
     """Attach the shared ``--selector`` strategy flag."""
     parser.add_argument(
         "--selector", default=None, metavar="STRATEGY",
-        help="selection strategy: eupa (default, full timing probe), "
+        help="selection strategy: eupa (full timing probe), "
              "learned (predict-first, probes only when uncertain), "
-             "cached (learned behind a shared decision cache), or any "
-             "registered strategy name",
+             "cached (learned behind a decision cache), or any "
+             f"registered strategy name (default: {default})",
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> IsobarConfig:
-    """Build an :class:`IsobarConfig` from compress/stats CLI flags."""
+def _config_from_args(
+    args: argparse.Namespace, base: IsobarConfig | None = None
+) -> IsobarConfig:
+    """Build an :class:`IsobarConfig` from compress/stats CLI flags,
+    layered on ``base`` (default: ``IsobarConfig()``)."""
     overrides: dict[str, object] = {
         "preference": Preference.parse(args.preference),
     }
@@ -440,7 +446,7 @@ def _config_from_args(args: argparse.Namespace) -> IsobarConfig:
         overrides["tau"] = args.tau
     if getattr(args, "selector", None):
         overrides["selector"] = args.selector
-    return IsobarConfig().replace(**overrides)
+    return (base or IsobarConfig()).replace(**overrides)
 
 
 def _pipeline_compressor(
@@ -869,22 +875,38 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _service_config_from_args(args: argparse.Namespace):
+    """The :class:`~repro.service.app.ServiceConfig` ``serve`` runs:
+    the service defaults (jittered backoff, chunk deadline, the cached
+    selector) with the CLI flags layered on top."""
+    from repro.service.app import ServiceConfig
+
+    return ServiceConfig(
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        max_queue=args.max_queue,
+        default_deadline_seconds=args.deadline_seconds,
+        max_deadline_seconds=args.max_deadline_seconds,
+        drain_seconds=args.drain_seconds,
+        max_body_bytes=int(args.max_body_mb * 1024 * 1024),
+        pipeline_workers=args.pipeline_workers,
+        pipeline_max_inflight=args.pipeline_max_inflight,
+        stall_probe_threshold_seconds=(
+            args.stall_probe_ms / 1000.0
+            if args.stall_probe_ms is not None else None
+        ),
+        isobar=_apply_retry_args(
+            _config_from_args(args, ServiceConfig().isobar), args
+        ),
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service.app import (
-        DEFAULT_SERVICE_POLICY,
-        IsobarService,
-        ServiceConfig,
-    )
+    from repro.service.app import IsobarService
     from repro.service.chaos import NetworkChaos, NetworkChaosPolicy
-
-    # Serve with the service defaults (jittered backoff + chunk
-    # deadline), then layer the CLI flags on top.
-    config = _apply_retry_args(
-        _config_from_args(args).replace(resilience=DEFAULT_SERVICE_POLICY),
-        args,
-    )
 
     chaos = None
     if (
@@ -901,26 +923,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("chaos           : wire-level fault injection ENABLED",
               file=sys.stderr)
 
-    service = IsobarService(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
-            default_deadline_seconds=args.deadline_seconds,
-            max_deadline_seconds=args.max_deadline_seconds,
-            drain_seconds=args.drain_seconds,
-            max_body_bytes=int(args.max_body_mb * 1024 * 1024),
-            pipeline_workers=args.pipeline_workers,
-            pipeline_max_inflight=args.pipeline_max_inflight,
-            stall_probe_threshold_seconds=(
-                args.stall_probe_ms / 1000.0
-                if args.stall_probe_ms is not None else None
-            ),
-            isobar=config,
-        ),
-        chaos=chaos,
-    )
+    service = IsobarService(_service_config_from_args(args), chaos=chaos)
 
     async def _run() -> None:
         await service.start()

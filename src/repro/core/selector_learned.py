@@ -21,10 +21,19 @@ timing probe when they can:
     The learned strategy behind a :class:`SelectorDecisionCache` — an
     LRU + TTL map keyed by quantized content features plus the config
     fingerprint.  Repeated or near-identical payloads (same variable,
-    adjacent timesteps) skip both prediction and probing.  The default
-    cache and model are process-wide singletons shared by
-    :class:`~repro.core.pipeline.IsobarCompressor`,
-    :func:`~repro.core.stream.stream_compress` and the service.
+    adjacent timesteps) skip both prediction and probing.  Selected by
+    name, both strategies share the process-wide :func:`shared_model`
+    and :func:`shared_decision_cache`; the service binds them to a
+    model and cache of its own instead.
+
+Both are keyed by sample size as well as content: every model target
+and cache key carries :func:`size_bucket` of the sample, so a query in
+a size bucket nothing was trained on probes instead of predicting.  And
+both are audited: every :data:`AUDIT_EVERY`-th predicted or cached
+decision runs the probe anyway and serves the probe's decision.  An
+audit whose measured regret exceeds :data:`AUDIT_MAX_REGRET` evicts the
+cache entry and resets the bucket's model targets, so the bucket goes
+back to probing.
 
 Every decision is produced through the same candidate space as EUPA —
 ``codec=`` / ``linearization=`` / ``preference=`` overrides restrict
@@ -41,6 +50,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace as _dc_replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.exceptions import ConfigurationError
 from repro.core.preferences import IsobarConfig, Preference
 from repro.core.selector import (
+    CandidateEvaluation,
     CandidatePrediction,
     EupaSelector,
     SelectorDecision,
@@ -58,21 +69,52 @@ from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
+    "AUDIT_EVERY",
+    "AUDIT_MAX_REGRET",
     "OnlineRatioModel",
     "LearnedSelector",
     "CachedSelector",
     "SelectorDecisionCache",
     "shared_decision_cache",
     "shared_model",
+    "size_bucket",
 ]
 
 #: Throughput observations are capped here before entering log space —
 #: a sub-resolution timer reading must not poison the model with inf.
 _MAX_THROUGHPUT = 1e12
 
+#: Every ``AUDIT_EVERY``-th predicted or cached decision is audited: the
+#: probe runs anyway and its decision is the one served.
+AUDIT_EVERY = 32
+
+#: An audit that measures more ratio regret than this demotes: the
+#: decision-cache entry is evicted and the size bucket's model targets
+#: are reset, so the bucket probes again.
+AUDIT_MAX_REGRET = 0.01
+
+
+def size_bucket(n_elements: int) -> int:
+    """The power-of-two bucket of a sample's element count,
+    ``floor(log2(n))``: 2048 and 4095 elements share bucket 11."""
+    return max(int(n_elements), 1).bit_length() - 1
+
+
+def _ratio_regret(
+    candidates: tuple[CandidateEvaluation, ...],
+    codec_name: str,
+    linearization,
+) -> float:
+    """Relative gap between the best measured ratio and the ratio of
+    ``(codec_name, linearization)`` — 1.0 when that candidate failed."""
+    measured = {(c.codec_name, c.linearization): c.ratio for c in candidates}
+    best = max(measured.values())
+    picked = measured.get((codec_name, linearization), 0.0)
+    return max(0.0, (best - picked) / best)
+
 
 class _TargetState:
-    """Ridge-regression accumulator for one (codec, linearization)."""
+    """Ridge-regression accumulator for one model target."""
 
     __slots__ = ("gram", "moment_ratio", "moment_speed", "n", "residual_ema")
 
@@ -87,11 +129,14 @@ class _TargetState:
 class OnlineRatioModel:
     """Online ridge regression from content features to (ratio, speed).
 
-    One independent target per (codec, linearization) pair, each
-    predicting ``log(ratio)`` and ``log(throughput)`` from the feature
-    vector.  Updates are rank-1 Gram accumulations — O(d^2) per
+    One independent target per (codec, linearization, size bucket),
+    each predicting ``log(ratio)`` and ``log(throughput)`` from the
+    feature vector.  The size bucket (:func:`size_bucket` of the
+    sample) keeps a model trained on small samples from answering for
+    large ones: ratios shift with sample size while the features may
+    not.  Updates are rank-1 Gram accumulations — O(d^2) per
     observation, O(d^3) per prediction with d = 12 — and thread-safe,
-    so one model can learn from every compressor in the process.
+    so one model can learn from every compressor that shares it.
 
     Confidence combines three signals, all cheap:
 
@@ -100,6 +145,11 @@ class OnlineRatioModel:
       training mass (1 for a brand-new direction, ~1/n for a repeat);
     * the exponential moving average of past one-step-ahead residuals
       in log-ratio space — drift pushes it up and probes resume.
+
+    The model also keeps the audit ledger of the decisions it backs:
+    :meth:`audit_due` picks every :data:`AUDIT_EVERY`-th one and
+    :meth:`record_audit` resets a bucket whose audit measured too much
+    regret.
     """
 
     def __init__(
@@ -116,6 +166,9 @@ class OnlineRatioModel:
         self._max_residual = max_residual
         self._targets: dict[tuple, _TargetState] = {}
         self._lock = threading.Lock()
+        self._unaudited = 0
+        self._audits = {"kept": 0, "demoted": 0}
+        self._last_regret: float | None = None
 
     def _target(self, key: tuple, dim: int) -> _TargetState:
         state = self._targets.get(key)
@@ -131,6 +184,8 @@ class OnlineRatioModel:
         linearization,
         ratio: float,
         throughput: float,
+        *,
+        bucket: int = 0,
     ) -> None:
         """Feed one measured candidate evaluation into the model."""
         x = np.asarray(features, dtype=np.float64)
@@ -138,7 +193,7 @@ class OnlineRatioModel:
         y_speed = float(
             np.log(min(max(throughput, 1e-9), _MAX_THROUGHPUT))
         )
-        key = (codec_name, linearization)
+        key = (codec_name, linearization, bucket)
         with self._lock:
             state = self._target(key, x.size)
             if state.n > 0:
@@ -155,12 +210,17 @@ class OnlineRatioModel:
             state.n += 1
 
     def predict(
-        self, features: np.ndarray, codec_name: str, linearization
+        self,
+        features: np.ndarray,
+        codec_name: str,
+        linearization,
+        *,
+        bucket: int = 0,
     ) -> tuple[float, float, bool]:
         """Predicted ``(ratio, throughput, confident)`` for a candidate."""
         x = np.asarray(features, dtype=np.float64)
         with self._lock:
-            state = self._targets.get((codec_name, linearization))
+            state = self._targets.get((codec_name, linearization, bucket))
             if state is None or state.n == 0:
                 return float("nan"), float("nan"), False
             solved = np.linalg.solve(
@@ -181,21 +241,57 @@ class OnlineRatioModel:
         )
         return ratio, throughput, confident
 
-    def observation_count(self, codec_name: str, linearization) -> int:
+    def observation_count(
+        self, codec_name: str, linearization, *, bucket: int = 0
+    ) -> int:
         """Training examples seen for one candidate (0 if none)."""
         with self._lock:
-            state = self._targets.get((codec_name, linearization))
+            state = self._targets.get((codec_name, linearization, bucket))
             return state.n if state is not None else 0
+
+    def audit_due(self) -> bool:
+        """Count one predicted or cached decision; true for every
+        :data:`AUDIT_EVERY`-th, which the caller then audits."""
+        with self._lock:
+            self._unaudited += 1
+            if self._unaudited < AUDIT_EVERY:
+                return False
+            self._unaudited = 0
+            return True
+
+    def record_audit(self, bucket: int, regret: float) -> bool:
+        """Log one audit's measured ``regret``.  Above
+        :data:`AUDIT_MAX_REGRET` every target of ``bucket`` is reset and
+        the result is true (demoted)."""
+        demoted = regret > AUDIT_MAX_REGRET
+        with self._lock:
+            if demoted:
+                for key in [k for k in self._targets if k[2] == bucket]:
+                    del self._targets[key]
+            self._audits["demoted" if demoted else "kept"] += 1
+            self._last_regret = regret
+        return demoted
+
+    def audit_stats(self) -> dict:
+        """Audit accounting for ``/v1/stats`` and tests."""
+        with self._lock:
+            return {
+                "every": AUDIT_EVERY,
+                "max_regret": AUDIT_MAX_REGRET,
+                "kept": self._audits["kept"],
+                "demoted": self._audits["demoted"],
+                "last_regret": self._last_regret,
+            }
 
 
 class SelectorDecisionCache:
     """LRU + TTL map from content fingerprints to selector decisions.
 
-    Keys combine the quantized :meth:`ContentFeatures.cache_key` with
-    the config fingerprint (candidate space, preference, tau, sample
-    size), so a config change can never replay a stale decision — the
-    old entries simply stop matching.  Thread-safe; the clock is
-    injectable for TTL tests.
+    Keys combine the quantized :meth:`ContentFeatures.cache_key` and
+    the sample's :func:`size_bucket` with the config fingerprint
+    (candidate space, preference, tau, sample size), so a config change
+    can never replay a stale decision — the old entries simply stop
+    matching.  Thread-safe; the clock is injectable for TTL tests.
     """
 
     def __init__(
@@ -247,6 +343,11 @@ class SelectorDecisionCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
+    def discard(self, key: tuple) -> None:
+        """Drop the entry for ``key`` if there is one."""
+        with self._lock:
+            self._entries.pop(key, None)
+
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
@@ -284,8 +385,8 @@ def _config_fingerprint(config: IsobarConfig) -> tuple:
 
 
 #: Process-wide defaults: one model and one cache shared by every
-#: compressor, streaming writer and service request that selects the
-#: "learned" / "cached" strategies by name.
+#: compressor and streaming writer that selects the "learned" /
+#: "cached" strategies by name.
 _SHARED_MODEL = OnlineRatioModel()
 _SHARED_CACHE = SelectorDecisionCache()
 
@@ -300,14 +401,23 @@ def shared_decision_cache() -> SelectorDecisionCache:
     return _SHARED_CACHE
 
 
+class _Query(NamedTuple):
+    """What one decision looks at: the sample, its content features
+    (``None`` when extraction failed) and its size bucket."""
+
+    sample: np.ndarray
+    features: ContentFeatures | None
+    bucket: int
+
+
 class LearnedSelector:
     """Predict-first strategy: regress, decide if confident, else probe.
 
     Drop-in for :class:`~repro.core.selector.EupaSelector` — the same
     ``select(values, analysis=None)`` surface, the same candidate
     space, the same :class:`SelectorDecision` — but the timing probe
-    only runs when the model is uncertain, and its measurements become
-    training examples.
+    only runs when the model is uncertain or an audit is due, and its
+    measurements become training examples.
     """
 
     def __init__(
@@ -321,7 +431,7 @@ class LearnedSelector:
         self._metrics = NULL_REGISTRY if metrics is None else metrics
         self._instruments = PipelineInstruments(self._metrics)
         self._model = model if model is not None else shared_model()
-        self._probe = EupaSelector(self._config, metrics=metrics)
+        self._eupa = EupaSelector(self._config, metrics=metrics)
         #: Why the most recent predict path degraded to a probe
         #: (``None`` while the predict path is healthy).
         self.last_degrade: str | None = None
@@ -338,7 +448,7 @@ class LearnedSelector:
 
     def draw_sample(self, values: np.ndarray) -> np.ndarray:
         """The seeded sample draw (identical to the EUPA selector's)."""
-        return self._probe.draw_sample(values)
+        return self._eupa.draw_sample(values)
 
     def select(
         self,
@@ -347,48 +457,72 @@ class LearnedSelector:
     ) -> SelectorDecision:
         """Decide from predictions when confident, else probe and learn."""
         started = time.perf_counter()
-        sample = self._probe.draw_sample(values)
-        if analysis is None:
-            analysis = analyze(sample, tau=self._config.tau)
+        return self._decide(values, analysis, self._query(values), started)
+
+    def _query(self, values: np.ndarray) -> _Query:
+        sample = self._eupa.draw_sample(values)
         features = None
-        predictions: tuple[CandidatePrediction, ...] = ()
         try:
             features = extract_features(sample)
-            predictions = self._predict_candidates(features)
         except Exception as exc:  # noqa: BLE001 - predict-path containment
-            # A broken feature extraction or model must never make the
-            # selector worse than EUPA: degrade to the probe.  Probe
-            # failures themselves surface as SelectorError below.
-            features = None
-            predictions = ()
+            # A broken feature extraction must never make the selector
+            # worse than EUPA: the decision degrades to the probe.
             self.last_degrade = f"{type(exc).__name__}: {exc}"
-        if predictions and all(p.confident for p in predictions):
-            decision = self._decide_from_predictions(
-                predictions, analysis, sample
+        return _Query(sample, features, size_bucket(sample.size))
+
+    def _decide(
+        self,
+        values: np.ndarray,
+        analysis: AnalysisResult | None,
+        query: _Query,
+        started: float,
+    ) -> SelectorDecision:
+        if analysis is None:
+            analysis = analyze(query.sample, tau=self._config.tau)
+        predictions: tuple[CandidatePrediction, ...] = ()
+        if query.features is not None:
+            try:
+                predictions = self._predict_candidates(
+                    query.features, query.bucket
+                )
+            except Exception as exc:  # noqa: BLE001 - predict-path containment
+                # Same containment for a broken model, which the probe
+                # then leaves untrained.  Probe failures themselves
+                # surface as SelectorError.
+                predictions = ()
+                query = query._replace(features=None)
+                self.last_degrade = f"{type(exc).__name__}: {exc}"
+        if not predictions or not all(p.confident for p in predictions):
+            return self._probe_and_learn(
+                values, analysis, query, predictions, started
             )
-            if self._metrics.enabled:
-                self._instruments.record_selector(decision)
-                self._instruments.selector_predictions.inc(
-                    1, outcome="predicted"
-                )
-                self._instruments.selector_decision_seconds.observe(
-                    time.perf_counter() - started, strategy="learned"
-                )
-            return decision
-        return self._probe_and_learn(
-            values, analysis, features, predictions, started
+        decision = self._decide_from_predictions(
+            predictions, analysis, query.sample
         )
+        if self._model.audit_due():
+            return self._audit(
+                values, analysis, query, decision, started, "learned"
+            )[0]
+        if self._metrics.enabled:
+            self._instruments.record_selector(decision)
+            self._instruments.selector_predictions.inc(
+                1, outcome="predicted"
+            )
+            self._instruments.selector_decision_seconds.observe(
+                time.perf_counter() - started, strategy="learned"
+            )
+        return decision
 
     # -- prediction path --------------------------------------------------
 
     def _predict_candidates(
-        self, features: ContentFeatures
+        self, features: ContentFeatures, bucket: int
     ) -> tuple[CandidatePrediction, ...]:
         x = np.asarray(features.vector(), dtype=np.float64)
         predictions = []
-        for codec_name, lin in self._probe._candidate_space():
+        for codec_name, lin in self._eupa._candidate_space():
             ratio, throughput, confident = self._model.predict(
-                x, codec_name, lin
+                x, codec_name, lin, bucket=bucket
             )
             predictions.append(
                 CandidatePrediction(
@@ -433,67 +567,92 @@ class LearnedSelector:
             predictions=predictions,
         )
 
-    # -- probe fallback ---------------------------------------------------
+    # -- probe path -------------------------------------------------------
+
+    def _probe(
+        self,
+        values: np.ndarray,
+        analysis: AnalysisResult | None,
+        query: _Query,
+    ) -> SelectorDecision:
+        """One EUPA probe; every measured candidate trains the model."""
+        decision = self._eupa.select(values, analysis=analysis)
+        if query.features is not None:
+            x = np.asarray(query.features.vector(), dtype=np.float64)
+            for cand in decision.candidates:
+                self._model.observe(
+                    x, cand.codec_name, cand.linearization,
+                    cand.ratio, cand.throughput, bucket=query.bucket,
+                )
+        return decision
 
     def _probe_and_learn(
         self,
         values: np.ndarray,
         analysis: AnalysisResult,
-        features: ContentFeatures | None,
+        query: _Query,
         predictions: tuple[CandidatePrediction, ...],
         started: float,
     ) -> SelectorDecision:
-        decision = self._probe.select(values, analysis=analysis)
-        if features is not None:
-            x = np.asarray(features.vector(), dtype=np.float64)
-            for cand in decision.candidates:
-                self._model.observe(
-                    x, cand.codec_name, cand.linearization,
-                    cand.ratio, cand.throughput,
-                )
+        decision = self._probe(values, analysis, query)
         if self._metrics.enabled:
             self._instruments.selector_predictions.inc(1, outcome="probed")
             self._instruments.selector_decision_seconds.observe(
                 time.perf_counter() - started, strategy="learned"
             )
-            self._record_regret(predictions, decision)
+            # The would-be prediction's regret, when it was comparable.
+            if predictions and all(
+                np.isfinite(p.predicted_ratio) for p in predictions
+            ):
+                pick = self._pick_prediction(predictions)
+                self._instruments.selector_regret.observe(
+                    _ratio_regret(
+                        decision.candidates,
+                        pick.codec_name,
+                        pick.linearization,
+                    ),
+                    origin="probe",
+                )
         return _dc_replace(decision, predictions=predictions)
 
-    def _record_regret(
+    def _audit(
         self,
-        predictions: tuple[CandidatePrediction, ...],
+        values: np.ndarray,
+        analysis: AnalysisResult | None,
+        query: _Query,
         decision: SelectorDecision,
-    ) -> None:
-        """Measured regret of the would-be prediction, when comparable."""
-        usable = [
-            p for p in predictions if np.isfinite(p.predicted_ratio)
-        ]
-        if len(usable) != len(predictions) or not predictions:
-            return
-        pick = self._pick_prediction(predictions)
-        measured = {
-            (c.codec_name, c.linearization): c.ratio
-            for c in decision.candidates
-        }
-        picked = measured.get((pick.codec_name, pick.linearization))
-        if picked is None or not measured:
-            return
-        best = max(measured.values())
-        if best <= 0:
-            return
-        self._instruments.selector_regret.observe(
-            max(0.0, (best - picked) / best)
+        started: float,
+        strategy: str,
+    ) -> tuple[SelectorDecision, bool]:
+        """Probe anyway, score the predicted or cached ``decision``
+        against the probe, and serve the probe's decision.  Returns it
+        and whether the audit demoted the size bucket."""
+        probed = self._probe(values, analysis, query)
+        regret = _ratio_regret(
+            probed.candidates, decision.codec_name, decision.linearization
         )
+        demoted = self._model.record_audit(query.bucket, regret)
+        if self._metrics.enabled:
+            self._instruments.selector_predictions.inc(1, outcome="probed")
+            self._instruments.selector_audits.inc(
+                1, outcome="demoted" if demoted else "kept"
+            )
+            self._instruments.selector_regret.observe(regret, origin="audit")
+            self._instruments.selector_decision_seconds.observe(
+                time.perf_counter() - started, strategy=strategy
+            )
+        return _dc_replace(probed, predictions=decision.predictions), demoted
 
 
 class CachedSelector:
-    """The learned strategy behind a shared LRU + TTL decision cache.
+    """The learned strategy behind an LRU + TTL decision cache.
 
     A lookup costs one sample draw plus one feature extraction — still
     an order of magnitude below a timing probe — and a hit replays the
     stored decision with ``origin="cached"``.  Misses delegate to the
-    wrapped :class:`LearnedSelector` (reusing the already-extracted
-    features) and store its decision.
+    wrapped :class:`LearnedSelector`, reusing the already-extracted
+    features, and store its decision.  Hits count towards the wrapped
+    model's audits; a demoting audit evicts the entry.
     """
 
     def __init__(
@@ -513,9 +672,6 @@ class CachedSelector:
             if inner is not None
             else LearnedSelector(self._config, metrics=metrics)
         )
-        #: Why the most recent lookup skipped the cache (``None`` while
-        #: inputs remain keyable).
-        self.last_degrade: str | None = None
 
     @property
     def config(self) -> IsobarConfig:
@@ -527,6 +683,12 @@ class CachedSelector:
         """The decision cache this strategy consults."""
         return self._cache
 
+    @property
+    def last_degrade(self) -> str | None:
+        """Why the most recent feature extraction or prediction
+        degraded (``None`` while inputs remain keyable)."""
+        return self._inner.last_degrade
+
     def select(
         self,
         values: np.ndarray,
@@ -534,34 +696,37 @@ class CachedSelector:
     ) -> SelectorDecision:
         """Replay a cached decision, or decide via the learned path."""
         started = time.perf_counter()
+        query = self._inner._query(values)
         key = None
-        try:
-            sample = self._inner.draw_sample(values)
-            features = extract_features(sample)
+        # An unkeyable input skips the cache, never the decision.
+        if query.features is not None:
             key = (
                 _config_fingerprint(self._config),
-                features.cache_key(),
+                query.bucket,
+                query.features.cache_key(),
             )
-        except Exception as exc:  # noqa: BLE001 - cache-path containment
-            # An unkeyable input skips the cache, never the decision.
-            key = None
-            self.last_degrade = f"{type(exc).__name__}: {exc}"
-        if key is not None:
             cached = self._cache.get(key)
             if cached is not None:
-                decision = _dc_replace(cached, origin="cached")
                 if self._metrics.enabled:
                     self._instruments.selector_cache_hits.inc()
+                if self._inner.model.audit_due():
+                    decision, demoted = self._inner._audit(
+                        values, analysis, query, cached, started, "cached"
+                    )
+                    if demoted:
+                        self._cache.discard(key)
+                    return decision
+                if self._metrics.enabled:
                     self._instruments.selector_predictions.inc(
                         1, outcome="cached"
                     )
                     self._instruments.selector_decision_seconds.observe(
                         time.perf_counter() - started, strategy="cached"
                     )
-                return decision
+                return _dc_replace(cached, origin="cached")
             if self._metrics.enabled:
                 self._instruments.selector_cache_misses.inc()
-        decision = self._inner.select(values, analysis=analysis)
+        decision = self._inner._decide(values, analysis, query, started)
         if key is not None:
             self._cache.put(key, decision)
         return decision

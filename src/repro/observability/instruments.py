@@ -88,10 +88,16 @@ class PipelineInstruments:
         wall-clock of one selection decision (sampling + features +
         prediction, or the full timing probe for ``eupa``).
     ``selector_regret``
-        ``isobar_selector_regret`` histogram — on probe fallbacks
-        where a prediction existed, the relative sample-ratio gap
-        between the predicted-best candidate and the measured winner
-        (0 when the prediction would have picked the same winner).
+        ``isobar_selector_regret{origin=probe|audit}`` histogram — the
+        relative sample-ratio gap between a predicted or cached choice
+        and the probe's measured winner (0 when they agree):
+        ``probe`` on learned-path probe fallbacks where a prediction
+        existed, ``audit`` on audits of served predicted or cached
+        decisions.
+    ``selector_audits``
+        ``isobar_selector_audits_total{outcome=kept|demoted}`` —
+        audits of predicted or cached decisions, by whether the
+        measured regret demoted the size bucket back to probing.
     ``selector_trials_reused``
         ``isobar_selector_trials_reused_total`` — chunks whose solver
         stream was the selector probe's winning trial (a single-chunk
@@ -205,9 +211,14 @@ class PipelineInstruments:
         )
         self.selector_regret = registry.histogram(
             "isobar_selector_regret",
-            "Relative sample-ratio regret of the prediction vs the "
-            "probed winner, observed on probe fallbacks.",
+            "Relative sample-ratio regret of a predicted or cached "
+            "choice vs the probed winner, by origin (probe, audit).",
             buckets=(0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5),
+        )
+        self.selector_audits = registry.counter(
+            "isobar_selector_audits_total",
+            "Audits of predicted or cached selector decisions, by "
+            "outcome (kept, demoted).",
         )
         self.selector_trials_reused = registry.counter(
             "isobar_selector_trials_reused_total",

@@ -58,6 +58,12 @@ from repro.core.exceptions import (
 )
 from repro.core.pipeline import IsobarCompressor
 from repro.core.selector import SelectorStrategy, resolve_selector
+from repro.core.selector_learned import (
+    CachedSelector,
+    LearnedSelector,
+    OnlineRatioModel,
+    SelectorDecisionCache,
+)
 from repro.core.preferences import (
     IsobarConfig,
     Linearization,
@@ -159,7 +165,11 @@ class ServiceConfig:
     isobar:
         The compression configuration served by default; per-request
         query parameters override codec/preference/linearization/
-        chunk_elements/tau on top of it.
+        chunk_elements/tau/selector on top of it.  Its default selects
+        ``"cached"`` — unlike the library default, ``"eupa"`` — and the
+        service binds the ``"learned"`` and ``"cached"`` strategies to
+        a model and decision cache of its own (see
+        :class:`IsobarService`).
     """
 
     host: str = "127.0.0.1"
@@ -180,7 +190,7 @@ class ServiceConfig:
     stall_probe_threshold_seconds: float | None = None
     isobar: IsobarConfig = field(
         default_factory=lambda: IsobarConfig(
-            resilience=DEFAULT_SERVICE_POLICY
+            resilience=DEFAULT_SERVICE_POLICY, selector="cached"
         )
     )
 
@@ -392,6 +402,11 @@ class IsobarService:
     or from a thread via :class:`ServiceThread`.  The service always
     collects metrics (``GET /metrics`` serves them); pass a shared
     registry to aggregate across services.
+
+    Each service owns one :class:`OnlineRatioModel` and one
+    :class:`SelectorDecisionCache`.  Compress and ``/v1/plan`` requests
+    that select ``"learned"`` or ``"cached"`` read and train only
+    these, so no decision crosses from one service to another.
     """
 
     def __init__(
@@ -419,6 +434,8 @@ class IsobarService:
         self._observe_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="isobar-observe"
         )
+        self._selector_model = OnlineRatioModel()
+        self._decision_cache = SelectorDecisionCache()
         self._compressors: dict[tuple, IsobarCompressor] = {}
         self._planners: dict[tuple, SelectorStrategy] = {}
         self._compressor_lock = threading.Lock()
@@ -545,6 +562,33 @@ class IsobarService:
 
     # -- shared state -----------------------------------------------------
 
+    def _isobar_config_for(self, overrides: dict) -> IsobarConfig:
+        """The compression config for one parameter combination.
+
+        A ``"learned"`` or ``"cached"`` selector is bound to this
+        service's model and decision cache; ``"eupa"`` and strategy
+        instances pass through.
+        """
+        config = (
+            self._config.isobar.replace(**overrides)
+            if overrides else self._config.isobar
+        )
+        if config.selector not in ("learned", "cached"):
+            return config
+        learned = LearnedSelector(
+            config, metrics=self._metrics, model=self._selector_model
+        )
+        if config.selector == "learned":
+            return config.replace(selector=learned)
+        return config.replace(
+            selector=CachedSelector(
+                config,
+                metrics=self._metrics,
+                cache=self._decision_cache,
+                inner=learned,
+            )
+        )
+
     def _compressor_for(self, overrides: dict) -> IsobarCompressor:
         """The cached compressor serving one parameter combination.
 
@@ -557,10 +601,7 @@ class IsobarService:
         with self._compressor_lock:
             compressor = self._compressors.get(key)
             if compressor is None:
-                config = (
-                    self._config.isobar.replace(**overrides)
-                    if overrides else self._config.isobar
-                )
+                config = self._isobar_config_for(overrides)
                 if self._config.pipeline_workers > 1:
                     from repro.core.parallel import ParallelIsobarCompressor
 
@@ -580,20 +621,18 @@ class IsobarService:
     def _planner_for(self, overrides: dict) -> SelectorStrategy:
         """The cached selector strategy serving ``/v1/plan`` requests.
 
-        Cached per parameter combination like the compressors, so the
-        learned strategies keep their online state across requests
-        (the named strategies additionally share the process-wide
-        model and decision cache with the compress path).
+        Cached per parameter combination like the compressors; the
+        learned strategies share this service's model and decision
+        cache with the compress path.
         """
         key = tuple(sorted(overrides.items()))
         with self._compressor_lock:
             planner = self._planners.get(key)
             if planner is None:
-                config = (
-                    self._config.isobar.replace(**overrides)
-                    if overrides else self._config.isobar
+                planner = resolve_selector(
+                    self._isobar_config_for(overrides),
+                    metrics=self._metrics,
                 )
-                planner = resolve_selector(config, metrics=self._metrics)
                 self._planners[key] = planner
             return planner
 
@@ -660,13 +699,12 @@ class IsobarService:
 
     def _selector_stats(self) -> dict:
         """The ``selector`` section of the stats document."""
-        from repro.core.selector_learned import shared_decision_cache
-
         with self._compressor_lock:
             failed = dict(sorted(self._selector_failed.items()))
         return {
             "failed_candidates": failed,
-            "decision_cache": shared_decision_cache().stats(),
+            "decision_cache": self._decision_cache.stats(),
+            "audits": self._selector_model.audit_stats(),
         }
 
     # -- connection handling ----------------------------------------------

@@ -14,7 +14,11 @@ SPEED decisions rank measured throughput, so the probe clock is frozen
 (every candidate times 0 s and ties resolve in candidate order): the
 digests are then a function of the data alone.  The learned and cached
 selectors start from a fresh model and cache per sequence, so no other
-test can change what they decide.
+test can change what they decide.  Four ``learned`` digests — the
+65 537-element run of ``msg_bt`` and ``obs_error`` under both
+preferences — were re-recorded when model targets became keyed by
+sample-size bucket: that run's bucket has one observation, so it probes
+instead of predicting, and its digest is now the ``eupa`` one.
 
 Record the digests of a checkout's ``src`` from this repository's
 root with::

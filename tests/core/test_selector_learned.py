@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -19,12 +20,15 @@ from repro.core.selector import (
     selector_strategy_names,
 )
 from repro.core.selector_learned import (
+    AUDIT_EVERY,
+    AUDIT_MAX_REGRET,
     CachedSelector,
     LearnedSelector,
     OnlineRatioModel,
     SelectorDecisionCache,
+    size_bucket,
 )
-from repro.datasets import generate_dataset
+from repro.datasets import dataset_names, generate_dataset
 
 
 @pytest.fixture
@@ -82,6 +86,68 @@ class TestOnlineRatioModel:
         model.observe(self.X, "zlib", "row", ratio=2.0, throughput=1e8)
         assert model.observation_count("zlib", "row") == 1
         assert model.observation_count("bzip2", "row") == 0
+
+    def test_targets_are_independent_per_size_bucket(self):
+        model = OnlineRatioModel()
+        for _ in range(3):
+            model.observe(
+                self.X, "zlib", "row", ratio=2.5, throughput=1e8, bucket=11
+            )
+        assert model.predict(self.X, "zlib", "row", bucket=11)[2]
+        ratio, _, confident = model.predict(self.X, "zlib", "row", bucket=15)
+        assert not confident and np.isnan(ratio)
+
+    def test_size_bucket_is_floor_log2(self):
+        assert [size_bucket(n) for n in (1, 2047, 2048, 4095, 40_000)] == [
+            0, 10, 11, 11, 15,
+        ]
+
+    def test_audit_counter_picks_every_nth_decision(self):
+        model = OnlineRatioModel()
+        due = [model.audit_due() for _ in range(3 * AUDIT_EVERY)]
+        assert [i for i, d in enumerate(due) if d] == [
+            AUDIT_EVERY - 1, 2 * AUDIT_EVERY - 1, 3 * AUDIT_EVERY - 1,
+        ]
+
+    def test_audit_counter_loses_no_update_under_threads(self):
+        model = OnlineRatioModel()
+        threads_n, calls = 8, 40 * AUDIT_EVERY
+        audits = [0] * threads_n
+
+        def tick(index):
+            audits[index] = sum(model.audit_due() for _ in range(calls))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=tick, args=(i,))
+                for i in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(audits) == threads_n * calls // AUDIT_EVERY
+
+    def test_demoting_audit_resets_only_its_bucket(self):
+        model = OnlineRatioModel()
+        for bucket in (11, 15):
+            model.observe(
+                self.X, "zlib", "row", ratio=2.0, throughput=1e8,
+                bucket=bucket,
+            )
+        assert not model.record_audit(11, AUDIT_MAX_REGRET)
+        assert model.observation_count("zlib", "row", bucket=11) == 1
+        assert model.record_audit(11, 2 * AUDIT_MAX_REGRET)
+        assert model.observation_count("zlib", "row", bucket=11) == 0
+        assert model.observation_count("zlib", "row", bucket=15) == 1
+        stats = model.audit_stats()
+        assert (stats["kept"], stats["demoted"]) == (1, 1)
+        assert stats["last_regret"] == 2 * AUDIT_MAX_REGRET
 
 
 class TestSelectorDecisionCache:
@@ -257,6 +323,124 @@ class TestCachedSelector:
         )
 
 
+def _regret(decision, oracle) -> float:
+    measured = {
+        (c.codec_name, c.linearization): c.ratio for c in oracle.candidates
+    }
+    best = max(measured.values())
+    return (best - measured[(decision.codec_name, decision.linearization)]) / best
+
+
+class TestMixedSizes:
+    """A model trained on small samples must not answer for large ones."""
+
+    CONFIG = IsobarConfig(chunk_elements=2048)
+
+    def test_small_chunk_training_keeps_large_body_regret_low(self):
+        regrets = {}
+        for name in dataset_names():
+            values = generate_dataset(name, n_elements=40_000)
+            learned = LearnedSelector(self.CONFIG, model=OnlineRatioModel())
+            for i in range(16):
+                learned.select(values[i * 2048:(i + 1) * 2048])
+            decision = learned.select(values)
+            # The 40 000-element sample's size bucket is untrained.
+            assert decision.origin == "probe", name
+            oracle = EupaSelector(self.CONFIG).select(values)
+            regrets[name] = _regret(decision, oracle)
+        mean = sum(regrets.values()) / len(regrets)
+        assert mean <= 0.01, regrets
+
+    def test_cache_key_separates_size_buckets(self, monkeypatch):
+        from repro.analysis.features import extract_features
+        from repro.core import selector_learned
+
+        values = generate_dataset("gts_phi_l", n_elements=40_000, seed=0)
+        small = values[:2048]
+        fixed = extract_features(small)
+        # Same quantized features for every sample, whatever its size.
+        monkeypatch.setattr(
+            selector_learned, "extract_features", lambda sample: fixed
+        )
+        cached = CachedSelector(
+            self.CONFIG,
+            cache=SelectorDecisionCache(),
+            inner=LearnedSelector(self.CONFIG, model=OnlineRatioModel()),
+        )
+        assert cached.select(small).origin == "probe"
+        assert cached.select(small).origin == "cached"
+        assert cached.select(values).origin == "probe"
+        assert len(cached.cache) == 2
+
+
+class TestAudits:
+    CONFIG = IsobarConfig(sample_elements=4096, selector_seed=11)
+
+    def test_every_nth_predicted_decision_is_audited(self, improvable):
+        from repro.observability import MetricsRegistry
+
+        registry = MetricsRegistry()
+        model = OnlineRatioModel()
+        learned = LearnedSelector(self.CONFIG, metrics=registry, model=model)
+        origins = [learned.select(improvable).origin for _ in range(2)]
+        assert origins == ["probe", "probe"]  # cold start
+        origins = [
+            learned.select(improvable).origin for _ in range(AUDIT_EVERY)
+        ]
+        assert origins[:-1] == ["predicted"] * (AUDIT_EVERY - 1)
+        assert origins[-1] == "probe"  # the audit serves the probe
+        stats = model.audit_stats()
+        assert stats["kept"] + stats["demoted"] == 1
+        assert stats["last_regret"] is not None
+        audits = registry.get("isobar_selector_audits_total")
+        assert audits.value(outcome="kept") + audits.value(
+            outcome="demoted"
+        ) == 1
+
+    def test_demoting_audit_evicts_entry_and_resets_bucket(self, improvable):
+        oracle = EupaSelector(self.CONFIG).select(improvable)
+        worst = min(oracle.candidates, key=lambda c: c.ratio)
+        assert _regret(worst, oracle) > AUDIT_MAX_REGRET  # precondition
+        # Poison the model so it confidently picks the worst candidate.
+        model = OnlineRatioModel()
+        x = _features_of(improvable, self.CONFIG)
+        bucket = size_bucket(self.CONFIG.sample_elements)
+        for cand in oracle.candidates:
+            ratio = 50.0 if cand is worst else 1.0
+            for _ in range(2):
+                model.observe(
+                    x, cand.codec_name, cand.linearization,
+                    ratio=ratio, throughput=1e8, bucket=bucket,
+                )
+        cache = SelectorDecisionCache()
+        cached = CachedSelector(
+            self.CONFIG,
+            cache=cache,
+            inner=LearnedSelector(self.CONFIG, model=model),
+        )
+        first = cached.select(improvable)
+        assert first.origin == "predicted"
+        assert (first.codec_name, first.linearization) == (
+            worst.codec_name, worst.linearization,
+        )
+        origins = [
+            cached.select(improvable).origin for _ in range(AUDIT_EVERY - 1)
+        ]
+        assert origins[:-1] == ["cached"] * (AUDIT_EVERY - 2)
+        # The last one was the audit: it served the probe's decision.
+        assert origins[-1] == "probe"
+        assert model.audit_stats()["demoted"] == 1
+        assert len(cache) == 0
+        assert model.observation_count(
+            worst.codec_name, worst.linearization, bucket=bucket
+        ) == 0
+        again = cached.select(improvable)
+        assert again.origin == "probe"
+        assert (again.codec_name, again.linearization) == (
+            oracle.codec_name, oracle.linearization,
+        )
+
+
 class TestStrategyRegistry:
     def test_builtin_names_are_listed(self):
         names = selector_strategy_names()
@@ -341,6 +525,13 @@ class TestFacadeIntegration:
 
     def test_default_selector_is_eupa(self):
         assert IsobarConfig().selector == "eupa"
+
+    def test_library_default_probes_every_call(self, improvable):
+        # No decision is replayed by default: every call is EUPA's.
+        for _ in range(2):
+            assert repro.plan(improvable).origin == "probe"
+            detailed = IsobarCompressor().compress_detailed(improvable)
+            assert detailed.decision.origin == "probe"
 
     def test_config_rejects_non_strategy_objects(self):
         with pytest.raises(ConfigurationError, match="selector"):

@@ -254,6 +254,89 @@ class TestPlanEndpoint:
         assert response.status == 400
 
 
+@pytest.fixture()
+def default_service():
+    handle = ServiceThread(ServiceConfig())
+    host, port = handle.start()
+    try:
+        yield handle, ServiceClient(host, port, max_retries=0)
+    finally:
+        handle.stop()
+
+
+def _plan_origin(client, values, query="") -> str:
+    response = client.request(
+        "POST", f"/v1/plan?dtype=float64{query}", values.tobytes()
+    )
+    assert response.status == 200
+    return response.json()["origin"]
+
+
+class TestSelectorState:
+    """The served default is ``cached``, and its state is per service."""
+
+    EUPA = ServiceConfig().isobar.replace(selector="eupa")
+
+    def test_service_default_is_cached_library_default_is_eupa(self):
+        from repro.core.preferences import IsobarConfig
+
+        assert ServiceConfig().isobar.selector == "cached"
+        assert IsobarConfig().selector == "eupa"
+
+    def test_repeat_body_replays_and_eupa_opts_out(self, default_service):
+        _, client = default_service
+        data = _values(8_000)
+        assert _plan_origin(client, data) == "probe"
+        assert _plan_origin(client, data) == "cached"
+        for _ in range(2):
+            assert _plan_origin(client, data, "&selector=eupa") == "probe"
+
+    def test_services_share_no_decisions(self):
+        from repro.core.pipeline import IsobarCompressor
+        from repro.datasets import generate_dataset
+
+        body = generate_dataset("gts_chkp_zion", n_elements=40_000)
+        chunks = [body[i * 2048:(i + 1) * 2048] for i in range(16)]
+        eupa = IsobarCompressor(self.EUPA)
+        trained, other = ServiceThread(ServiceConfig()), ServiceThread(
+            ServiceConfig()
+        )
+        try:
+            a = ServiceClient(*trained.start(), max_retries=0)
+            b = ServiceClient(*other.start(), max_retries=0)
+            for _ in range(2):
+                for chunk in chunks:
+                    a.compress(chunk)
+            assert _plan_origin(a, chunks[0]) == "cached"
+            # The other service saw none of that training: it probes,
+            # and its containers are the eupa ones.
+            assert _plan_origin(b, chunks[0]) == "probe"
+            served = [b.compress(v).payload for v in (body, chunks[0])]
+            assert served == [eupa.compress(v) for v in (body, chunks[0])]
+        finally:
+            trained.stop()
+            other.stop()
+
+    def test_audited_request_matches_eupa_container(self, default_service):
+        from repro.core.pipeline import IsobarCompressor
+        from repro.core.selector_learned import AUDIT_EVERY
+
+        handle, client = default_service
+        data = _values(8_000)
+        expected = IsobarCompressor(self.EUPA).compress(data)
+        # One probe fills the cache; the AUDIT_EVERY-th hit is audited.
+        payloads = [
+            client.compress(data).payload for _ in range(1 + AUDIT_EVERY)
+        ]
+        assert all(p == expected for p in payloads)
+        audits = handle.service.stats()["selector"]["audits"]
+        assert (audits["kept"], audits["demoted"]) == (1, 0)
+        assert audits["last_regret"] <= audits["max_regret"]
+        text = client.metrics_text()
+        assert 'isobar_selector_audits_total{outcome="kept"} 1' in text
+        assert 'isobar_selector_regret_count{origin="audit"} 1' in text
+
+
 class TestDeadlines:
     def test_deadline_expiry_is_504_and_slot_is_reclaimed(
         self, small_chunks_config

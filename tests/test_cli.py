@@ -458,6 +458,19 @@ class TestPlanCommand:
                                   "--selector", "cached"])
         assert args.selector == "cached"
 
+    def test_serve_defaults_to_cached_selector(self):
+        from repro.cli import _service_config_from_args
+        from repro.service.app import DEFAULT_SERVICE_POLICY
+
+        parser = build_parser()
+        config = _service_config_from_args(parser.parse_args(["serve"]))
+        assert config.isobar.selector == "cached"
+        assert config.isobar.resilience == DEFAULT_SERVICE_POLICY
+        config = _service_config_from_args(
+            parser.parse_args(["serve", "--selector", "eupa", "--tau", "2"])
+        )
+        assert (config.isobar.selector, config.isobar.tau) == ("eupa", 2.0)
+
     def test_plan_prints_decision(self, raw, capsys):
         capsys.readouterr()
         assert main(["plan", str(raw)]) == 0
