@@ -26,14 +26,33 @@ from __future__ import annotations
 
 from repro.core.exceptions import ContainerFormatError, InvalidInputError
 from repro.core.metadata import (
+    ChunkIndexEntry,
     ChunkIndexRecord,
-    ChunkMetadata,
     ContainerFooter,
     ContainerHeader,
+    iter_chain,
     locate_footer,
 )
 
 __all__ = ["concat_containers", "split_container_header"]
+
+
+def _walk(data: bytes) -> tuple[ContainerHeader, list[ChunkIndexEntry], bytes]:
+    """Parse a container into ``(header, chain entries, chunk bytes)``.
+
+    A validated chunk-index footer after the last chunk is stripped;
+    anything else trailing is rejected.
+    """
+    header, chunk_start = ContainerHeader.decode(data)
+    entries = list(iter_chain(data, header, chunk_start))
+    chain_end = entries[-1].payload_end if entries else chunk_start
+    if chain_end != len(data):
+        location = locate_footer(data)
+        if not (location.ok and location.start == chain_end):
+            raise ContainerFormatError(
+                f"{len(data) - chain_end} trailing bytes after the last chunk"
+            )
+    return header, entries, data[chunk_start:chain_end]
 
 
 def split_container_header(data: bytes) -> tuple[ContainerHeader, bytes]:
@@ -45,29 +64,8 @@ def split_container_header(data: bytes) -> tuple[ContainerHeader, bytes]:
     offsets no longer apply); anything else trailing is rejected to
     keep the merge well-defined.
     """
-    header, offset = ContainerHeader.decode(data)
-    chunk_start = offset
-    width = header.element_width
-    elements = 0
-    for _ in range(header.n_chunks):
-        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
-        offset = (payload_offset + meta.compressed_size
-                  + meta.incompressible_size)
-        if offset > len(data):
-            raise ContainerFormatError("container truncated mid-chunk")
-        elements += meta.n_elements
-    if elements != header.n_elements:
-        raise ContainerFormatError(
-            f"chunks cover {elements} elements, header declares "
-            f"{header.n_elements}"
-        )
-    if offset != len(data):
-        location = locate_footer(data)
-        if not (location.ok and location.start == offset):
-            raise ContainerFormatError(
-                f"{len(data) - offset} trailing bytes after the last chunk"
-            )
-    return header, data[chunk_start:offset]
+    header, _, chunk_stream = _walk(data)
+    return header, chunk_stream
 
 
 def concat_containers(containers: list[bytes]) -> bytes:
@@ -79,9 +77,9 @@ def concat_containers(containers: list[bytes]) -> bytes:
     """
     if not containers:
         raise InvalidInputError("need at least one container to concatenate")
-    parsed = [split_container_header(data) for data in containers]
+    parsed = [_walk(data) for data in containers]
     first = parsed[0][0]
-    for header, _ in parsed[1:]:
+    for header, _, _ in parsed[1:]:
         if header.dtype != first.dtype:
             raise InvalidInputError(
                 f"dtype mismatch: {header.dtype} vs {first.dtype}"
@@ -96,8 +94,8 @@ def concat_containers(containers: list[bytes]) -> bytes:
                 f"{first.linearization.value}"
             )
 
-    total_elements = sum(header.n_elements for header, _ in parsed)
-    total_chunks = sum(header.n_chunks for header, _ in parsed)
+    total_elements = sum(header.n_elements for header, _, _ in parsed)
+    total_chunks = sum(header.n_chunks for header, _, _ in parsed)
     merged_header = ContainerHeader(
         dtype=first.dtype,
         n_elements=total_elements,
@@ -116,27 +114,21 @@ def concat_containers(containers: list[bytes]) -> bytes:
     # its new absolute position.
     entries: list[ChunkIndexRecord] = []
     cursor = len(header_bytes)
-    width = merged_header.element_width
-    for header, chunk_stream in parsed:
-        offset = 0
-        for _ in range(header.n_chunks):
-            meta, payload_offset = ChunkMetadata.decode(
-                chunk_stream, offset, width
+    for _, chain, chunk_stream in parsed:
+        shift = cursor - (chain[0].record_offset if chain else 0)
+        entries.extend(
+            ChunkIndexRecord(
+                payload_offset=entry.payload_offset + shift,
+                compressed_size=entry.compressed_size,
+                incompressible_size=entry.incompressible_size,
+                n_elements=entry.n_elements,
             )
-            entries.append(
-                ChunkIndexRecord(
-                    payload_offset=cursor + payload_offset,
-                    compressed_size=meta.compressed_size,
-                    incompressible_size=meta.incompressible_size,
-                    n_elements=meta.n_elements,
-                )
-            )
-            offset = (payload_offset + meta.compressed_size
-                      + meta.incompressible_size)
+            for entry in chain
+        )
         cursor += len(chunk_stream)
     footer = ContainerFooter(entries=tuple(entries)).encode()
     return (
         header_bytes
-        + b"".join(chunk_stream for _, chunk_stream in parsed)
+        + b"".join(chunk_stream for _, _, chunk_stream in parsed)
         + footer
     )

@@ -41,8 +41,8 @@ from repro.core.metadata import (
     ChunkIndexRecord,
     ContainerFooter,
     ContainerHeader,
-    locate_footer,
 )
+from repro.core.validate import classify_footer
 
 __all__ = ["FsckIssue", "FsckReport", "OrphanReport", "fsck"]
 
@@ -261,59 +261,41 @@ def _atomic_rewrite(path: str, payload: bytes) -> None:
 def _check_footer(
     report: FsckReport,
     data: bytes,
+    header: ContainerHeader,
     chain: list[ChunkIndexRecord],
     chain_end: int,
     chain_intact: bool,
 ) -> None:
-    """Classify the footer against the walked chain (mirrors
-    ``isobar verify``'s four-way status) and record its issue."""
-    location = locate_footer(data)
-    trailing = len(data) - chain_end
-    if location.ok:
-        footer = location.footer
-        assert footer is not None
-        if chain_intact and tuple(chain) == footer.entries:
-            report.footer_status = "ok"
-            if chain_intact and chain_end < location.start:
-                report.issues.append(
-                    FsckIssue(
-                        "chain", chain_end, location.start,
-                        f"{location.start - chain_end} stray bytes between "
-                        "the last chunk and the footer",
-                        repairable=False,
-                    )
+    """Classify the footer against the walked chain (the verdict
+    ``isobar verify`` reports) and record its issue."""
+    check = classify_footer(data, header, chain, chain_end)
+    report.footer_status, report.footer_detail = check.status, check.detail
+    location = check.location
+    if check.status == "ok":
+        if chain_intact and chain_end < location.start:
+            report.issues.append(
+                FsckIssue(
+                    "chain", chain_end, location.start,
+                    f"{location.start - chain_end} stray bytes between "
+                    "the last chunk and the footer",
+                    repairable=False,
                 )
-            return
-        report.footer_status = "inconsistent"
-        report.footer_detail = (
-            f"footer indexes {footer.n_chunks} chunks but the chain walk "
-            f"found {len(chain)}"
-            if footer.n_chunks != len(chain)
-            else "footer entries disagree with the chunk chain"
-        )
+            )
+    elif check.status == "inconsistent":
         report.issues.append(
             FsckIssue(
-                "footer", location.start, len(data), report.footer_detail,
+                "footer", location.start, len(data), check.detail,
                 repairable=chain_intact,
             )
         )
-        return
-    if location.status == "absent" and trailing == 0:
-        report.footer_status = "absent"
-        report.footer_detail = "pre-footer container (scan-indexed open)"
-        return
-    report.footer_status = "rebuildable"
-    report.footer_detail = location.detail or (
-        f"{trailing} trailing bytes after the last chunk are not a "
-        "valid footer"
-    )
-    report.issues.append(
-        FsckIssue(
-            "footer", chain_end, len(data),
-            f"footer {location.status}: {report.footer_detail}",
-            repairable=chain_intact,
+    elif check.status == "rebuildable":
+        report.issues.append(
+            FsckIssue(
+                "footer", chain_end, len(data),
+                f"footer {location.status}: {check.detail}",
+                repairable=chain_intact,
+            )
         )
-    )
 
 
 def _repair_footer(
@@ -455,7 +437,9 @@ def fsck(path: str | os.PathLike, *, repair: bool = False) -> FsckReport:
         report.n_elements = sum(entry.n_elements for entry in chain)
         if header is not None:
             chain_intact = not issues
-            _check_footer(report, data, chain, chain_end, chain_intact)
+            _check_footer(
+                report, data, header, chain, chain_end, chain_intact
+            )
             needs_footer = report.footer_status in (
                 "rebuildable", "inconsistent", "absent"
             )

@@ -12,14 +12,21 @@ Two records make up an ISOBAR container's bookkeeping (Figure 7):
 Both serialize to compact little-endian structs with explicit magics
 and validate on decode, raising :class:`ContainerFormatError` on any
 inconsistency rather than fabricating data.
+
+:func:`iter_chain` is the one strict walk over the chunk records that
+follow the header; every strict reader consumes its
+:class:`ChunkIndexEntry` stream.  (The lenient, resynchronizing walk is
+:func:`repro.core.salvage.scan_chunks`.)
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -33,10 +40,12 @@ __all__ = [
     "ContainerHeader",
     "ChunkMetadata",
     "ChunkIndexRecord",
+    "ChunkIndexEntry",
     "ContainerFooter",
     "FooterLocation",
     "locate_footer",
     "chunk_record_nbytes",
+    "iter_chain",
     "encode_mask",
     "decode_mask",
 ]
@@ -50,6 +59,11 @@ _FOOTER_MAGIC = b"ISIX"
 _FOOTER_END_MAGIC = b"XISI"
 _MAX_NAME = 255
 _MAX_DIMS = 16
+#: Longest possible chunk record (magic, ``<QBIB>`` fields, a mask of at
+#: most 255 bytes, ``<QQ>`` sizes): one read this long holds any record.
+_MAX_RECORD_NBYTES = 4 + struct.calcsize("<QBIB") + 255 + 16
+#: In-memory container types; any other source is a seekable file.
+_BUFFERS = (bytes, bytearray, memoryview)
 
 #: Per-entry struct of the index footer:
 #: ``(payload_offset, compressed_size, incompressible_size, n_elements)``.
@@ -341,6 +355,116 @@ class ChunkIndexRecord:
     def record_offset(self, element_width: int) -> int:
         """Absolute offset of the chunk's metadata record."""
         return self.payload_offset - chunk_record_nbytes(element_width)
+
+
+@dataclass(frozen=True)
+class ChunkIndexEntry:
+    """Location of one chunk inside the container byte stream.
+
+    ``metadata`` is populated by :func:`iter_chain`; a footer-opened
+    :class:`~repro.core.random_access.ContainerFile` leaves it ``None``
+    until the chunk is actually read (the footer alone locates the
+    payload).
+    """
+
+    index: int
+    element_start: int
+    element_stop: int
+    payload_offset: int
+    metadata: ChunkMetadata | None = None
+    compressed_size: int = 0
+    incompressible_size: int = 0
+    #: Absolute offset of the chunk's record (where its damage is
+    #: reported).
+    record_offset: int = 0
+
+    @property
+    def n_elements(self) -> int:
+        """Elements covered by this chunk."""
+        return self.element_stop - self.element_start
+
+    @property
+    def payload_end(self) -> int:
+        """Absolute offset one past this chunk's last payload byte."""
+        return self.payload_offset + self.compressed_size + self.incompressible_size
+
+    def payloads(self, source: bytes | BinaryIO) -> tuple[bytes, bytes]:
+        """The chunk's ``(compressed, incompressible)`` payload streams,
+        sliced from the in-memory container or read from a seekable
+        container file."""
+        if isinstance(source, _BUFFERS):
+            split = self.payload_offset + self.compressed_size
+            return (
+                source[self.payload_offset:split],
+                source[split:self.payload_end],
+            )
+        source.seek(self.payload_offset)
+        return (
+            source.read(self.compressed_size),
+            source.read(self.incompressible_size),
+        )
+
+
+def iter_chain(
+    source: bytes | BinaryIO, header: ContainerHeader, offset: int
+) -> Iterator[ChunkIndexEntry]:
+    """Strictly walk the ``header.n_chunks`` records starting at ``offset``.
+
+    Yields one :class:`ChunkIndexEntry` (metadata included) per record,
+    in chain order; payloads are skipped, not read.  ``source`` is the
+    container in memory or a seekable binary file, which is read one
+    record at a time, so a walk never holds more than one record.
+
+    A record whose payload runs past the end of ``source`` raises
+    :class:`TruncatedContainerError` naming the chunk and its offset;
+    once the last record is yielded, records that do not cover
+    ``header.n_elements`` raise :class:`ContainerFormatError`.
+    """
+    width = header.element_width
+    if isinstance(source, _BUFFERS):
+        data = source
+        size = len(data)
+
+        def read_record(offset: int) -> tuple[ChunkMetadata, int]:
+            return ChunkMetadata.decode(data, offset, width)
+    else:
+        file = source
+        size = file.seek(0, os.SEEK_END)
+
+        def read_record(offset: int) -> tuple[ChunkMetadata, int]:
+            file.seek(offset)
+            meta, record_nbytes = ChunkMetadata.decode(
+                file.read(_MAX_RECORD_NBYTES), 0, width
+            )
+            return meta, offset + record_nbytes
+
+    element_cursor = 0
+    for index in range(header.n_chunks):
+        meta, payload_offset = read_record(offset)
+        entry = ChunkIndexEntry(
+            index=index,
+            element_start=element_cursor,
+            element_stop=element_cursor + meta.n_elements,
+            payload_offset=payload_offset,
+            metadata=meta,
+            compressed_size=meta.compressed_size,
+            incompressible_size=meta.incompressible_size,
+            record_offset=offset,
+        )
+        if entry.payload_end > size:
+            raise TruncatedContainerError(
+                f"chunk {index} at byte offset {offset}: container "
+                f"truncated inside chunk payload (payload ends at byte "
+                f"{entry.payload_end}, stream holds {size})"
+            )
+        yield entry
+        element_cursor = entry.element_stop
+        offset = entry.payload_end
+    if element_cursor != header.n_elements:
+        raise ContainerFormatError(
+            f"chunks cover {element_cursor} elements, header declares "
+            f"{header.n_elements}"
+        )
 
 
 @dataclass(frozen=True)

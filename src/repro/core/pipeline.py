@@ -37,6 +37,7 @@ import time
 import warnings
 import zlib as _zlib
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -52,14 +53,15 @@ from repro.core.exceptions import (
     InvalidInputError,
     IsobarError,
     SelectorError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
+    ChunkIndexEntry,
     ChunkIndexRecord,
     ChunkMetadata,
     ChunkMode,
     ContainerFooter,
     ContainerHeader,
+    iter_chain,
 )
 from repro.core.partitioner import partition, reassemble_matrix
 from repro.core.preferences import (
@@ -100,6 +102,9 @@ __all__ = [
     "isobar_compress",
     "isobar_decompress",
 ]
+
+_JobT = TypeVar("_JobT")
+_ResultT = TypeVar("_ResultT")
 
 
 def _writable_byte_view(out: np.ndarray) -> np.ndarray | None:
@@ -803,22 +808,23 @@ class IsobarCompressor:
         select_seconds = time.perf_counter() - select_start - lead_seconds
         tracer.add("select", select_seconds)
 
-        chunk_blobs: list[bytes] = []
-        reports: list[ChunkReport] = []
-        total_analyze = lead_seconds
-        total_compress = 0.0
-        for span, chunk in iter_chunks(flat, self._config.chunk_elements):
+        def _encode(
+            index: int, chunk: np.ndarray, codec: Codec
+        ) -> tuple[bytes, ChunkReport]:
             # The selector's lead sample is exactly chunk 0, so its
             # analysis is reused instead of re-running the analyzer.
-            blob, report = self._compress_chunk(
-                span.index, chunk, decision, codec, tracer,
-                analysis=lead_analysis if span.index == 0 else None,
-                trial=trial if span.index == 0 else None,
+            return self._compress_chunk(
+                index, chunk, decision, codec, tracer,
+                analysis=lead_analysis if index == 0 else None,
+                trial=trial if index == 0 else None,
             )
-            chunk_blobs.append(blob)
-            reports.append(report)
-            total_analyze += report.analyze_seconds
-            total_compress += report.compress_seconds
+
+        chunks = [
+            chunk for _, chunk in iter_chunks(flat, self._config.chunk_elements)
+        ]
+        outcomes = self._map_chunks("isobar-compress", chunks, _encode, codec)
+        chunk_blobs = [blob for blob, _ in outcomes]
+        reports = [report for _, report in outcomes]
 
         merge_start = time.perf_counter()
         header = ContainerHeader(
@@ -846,8 +852,9 @@ class IsobarCompressor:
             header=header,
             decision=decision,
             chunks=tuple(reports),
-            analyze_seconds=total_analyze,
-            compress_seconds=total_compress,
+            analyze_seconds=lead_seconds
+            + sum(r.analyze_seconds for r in reports),
+            compress_seconds=sum(r.compress_seconds for r in reports),
             select_seconds=select_seconds,
             degradation=_degradation_from_reports(reports),
             footer_bytes=len(footer_bytes),
@@ -1073,57 +1080,42 @@ class IsobarCompressor:
         wall_start = time.perf_counter()
         tracer = self._tracer()
         header, offset = ContainerHeader.decode(data)
-        codec = get_codec(header.codec_name)
-        width = header.element_width
-
         # Chunks decode straight into one preallocated result; no
         # per-chunk array plus concatenation pass.
         flat = np.empty(header.n_elements, dtype=header.dtype)
-        cursor = 0
-        decode_start = time.perf_counter()
-        for index in range(header.n_chunks):
-            record_offset = offset
-            meta, offset = ChunkMetadata.decode(data, offset, width)
-            end_comp = offset + meta.compressed_size
-            end_incomp = end_comp + meta.incompressible_size
-            if end_incomp > len(data):
-                raise TruncatedContainerError(
-                    f"chunk {index} at byte offset {record_offset}: "
-                    "container truncated inside chunk payload"
-                )
-            compressed = data[offset:end_comp]
-            incompressible = data[end_comp:end_incomp]
-            offset = end_incomp
-            end_cursor = cursor + meta.n_elements
+
+        def _decode(
+            index: int, entry: ChunkIndexEntry, codec: Codec
+        ) -> np.ndarray:
+            assert entry.metadata is not None
             # A chunk overflowing the declared total still decodes (into
-            # a scratch array) so the element-count mismatch is reported
-            # as the format error below, matching the legacy behaviour.
-            target = flat[cursor:end_cursor] if end_cursor <= flat.size else None
-            decode_chunk_payload(
-                header,
-                codec,
-                meta,
-                compressed,
-                incompressible,
-                chunk_index=index,
-                byte_offset=record_offset,
+            # a scratch array); the walk then reports the element-count
+            # mismatch.
+            target = (
+                flat[entry.element_start:entry.element_stop]
+                if entry.element_stop <= flat.size else None
+            )
+            compressed, incompressible = entry.payloads(data)
+            decode_start = time.perf_counter()
+            chunk = decode_chunk_payload(
+                header, codec, entry.metadata, compressed, incompressible,
+                chunk_index=index, byte_offset=entry.record_offset,
                 out=target,
             )
-            cursor = end_cursor
-        tracer.add(
-            "decode", time.perf_counter() - decode_start, bytes_in=offset
+            tracer.add(
+                "decode", time.perf_counter() - decode_start,
+                bytes_in=len(compressed) + len(incompressible),
+            )
+            return chunk
+
+        self._map_chunks(
+            "isobar-decompress", iter_chain(data, header, offset), _decode,
+            get_codec(header.codec_name),
         )
         self._instruments.chunks_decoded.inc(header.n_chunks)
 
-        merge_start = time.perf_counter()
-        if cursor != header.n_elements:
-            raise ContainerFormatError(
-                f"container reassembled {cursor} elements, header "
-                f"declares {header.n_elements}"
-            )
-        tracer.add(
-            "merge", time.perf_counter() - merge_start, bytes_out=flat.nbytes
-        )
+        # Chunks landed in place: the merge stage only accounts output.
+        tracer.add("merge", 0.0, bytes_out=flat.nbytes)
         if self._metrics.enabled:
             self._finish_decompress_run(
                 header, len(data), flat.nbytes, tracer,
@@ -1135,6 +1127,23 @@ class IsobarCompressor:
         if header.shape and n_shape == header.n_elements:
             return flat.reshape(header.shape)
         return flat
+
+    def _map_chunks(
+        self,
+        name: str,
+        jobs: Iterable[_JobT],
+        run: Callable[[int, _JobT, Codec], _ResultT],
+        codec: Codec,
+    ) -> list[_ResultT]:
+        """Apply ``run(index, job, codec)`` to a run's chunk jobs, in order.
+
+        Both directions hand their per-chunk work here: ``name`` labels
+        the run, ``jobs`` are chunk arrays or walked chain entries, and
+        ``codec`` is the container's solver.  This serial driver is an
+        in-order loop; :class:`~repro.core.parallel.ParallelIsobarCompressor`
+        overrides it with the pipelined block engine.
+        """
+        return [run(index, job, codec) for index, job in enumerate(jobs)]
 
     def _finish_decompress_run(
         self,

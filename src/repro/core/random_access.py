@@ -33,7 +33,6 @@ import bisect
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -44,13 +43,14 @@ from repro.core.exceptions import (
     ContainerFormatError,
     InvalidInputError,
     IsobarError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
+    ChunkIndexEntry,
     ChunkMetadata,
     ContainerFooter,
     ContainerHeader,
     chunk_record_nbytes,
+    iter_chain,
     locate_footer,
 )
 from repro.core.pipeline import decode_chunk_payload
@@ -67,76 +67,6 @@ _HEADER_PROBE = 4096
 #: ~127 chunks in one read; longer footers declare their length in the
 #: trailer and trigger exactly one larger re-read.
 _TAIL_PROBE = 4096
-
-
-@dataclass(frozen=True)
-class ChunkIndexEntry:
-    """Location of one chunk inside the container byte stream.
-
-    ``metadata`` is populated eagerly by the scanning readers; a
-    footer-opened :class:`ContainerFile` leaves it ``None`` until the
-    chunk is actually read (the footer alone locates the payload).
-    """
-
-    index: int
-    element_start: int
-    element_stop: int
-    payload_offset: int
-    metadata: ChunkMetadata | None = None
-    compressed_size: int = 0
-    incompressible_size: int = 0
-
-    @property
-    def n_elements(self) -> int:
-        """Elements covered by this chunk."""
-        return self.element_stop - self.element_start
-
-    @property
-    def payload_end(self) -> int:
-        """Absolute offset one past this chunk's last payload byte."""
-        return self.payload_offset + self.compressed_size + self.incompressible_size
-
-
-def _scan_index(
-    data: bytes, header: ContainerHeader, offset: int
-) -> list[ChunkIndexEntry]:
-    """Build the chunk index by walking the metadata chain (O(n_chunks)).
-
-    The pre-footer open path, still used for footer-less containers and
-    as the fallback when a footer cannot be trusted.
-    """
-    index: list[ChunkIndexEntry] = []
-    element_cursor = 0
-    width = header.element_width
-    for i in range(header.n_chunks):
-        record_offset = offset
-        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
-        end = payload_offset + meta.compressed_size + meta.incompressible_size
-        if end > len(data):
-            raise TruncatedContainerError(
-                f"chunk {i} at byte offset {record_offset}: container "
-                f"truncated in index scan (payload ends at byte {end}, "
-                f"stream holds {len(data)})"
-            )
-        index.append(
-            ChunkIndexEntry(
-                index=i,
-                element_start=element_cursor,
-                element_stop=element_cursor + meta.n_elements,
-                payload_offset=payload_offset,
-                metadata=meta,
-                compressed_size=meta.compressed_size,
-                incompressible_size=meta.incompressible_size,
-            )
-        )
-        element_cursor += meta.n_elements
-        offset = end
-    if element_cursor != header.n_elements:
-        raise ContainerFormatError(
-            f"index covers {element_cursor} elements, header declares "
-            f"{header.n_elements}"
-        )
-    return index
 
 
 def _footer_index(
@@ -168,6 +98,7 @@ def _footer_index(
                 payload_offset=entry.payload_offset,
                 compressed_size=entry.compressed_size,
                 incompressible_size=entry.incompressible_size,
+                record_offset=cursor,
             )
         )
         element_cursor += entry.n_elements
@@ -216,12 +147,13 @@ class _ChunkCache:
 class _RangeReaderBase:
     """Query surface shared by the in-memory and file-backed readers.
 
-    Subclasses provide ``_load_chunk(entry)`` (fetch + decode one
-    chunk, raising :class:`IsobarError` on damage); this base supplies
-    the element-span index, the LRU memoisation, the ``errors=``
-    policy, and the range/point read logic on top.
+    Subclasses set ``_source`` (the container bytes or its seekable
+    file) and build the index; this base decodes walked chunks from it
+    and supplies the element-span index, the LRU memoisation, the
+    ``errors=`` policy, and the range/point read logic on top.
     """
 
+    _source: bytes | BinaryIO
     _header: ContainerHeader
     _codec: Codec
     _errors: str
@@ -281,7 +213,14 @@ class _RangeReaderBase:
     # -- decoding ---------------------------------------------------------
 
     def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        raise NotImplementedError
+        """Fetch and decode one walked chunk (raises on damage)."""
+        meta = entry.metadata
+        assert meta is not None  # iter_chain entries carry their record
+        compressed, incompressible = entry.payloads(self._source)
+        return decode_chunk_payload(
+            self._header, self._codec, meta, compressed, incompressible,
+            chunk_index=entry.index, byte_offset=entry.record_offset,
+        )
 
     def read_chunk(self, index: int) -> np.ndarray:
         """Decode exactly one chunk (memoised per ``cache_chunks``)."""
@@ -379,27 +318,11 @@ class ContainerReader(_RangeReaderBase):
         errors: str = "raise",
         cache_chunks: int | None = None,
     ):
-        self._data = data
+        self._source = data
         header, offset = ContainerHeader.decode(data)
         self._init_base(
-            header, _scan_index(data, header, offset), errors, cache_chunks
-        )
-
-    def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        meta = entry.metadata
-        assert meta is not None  # scanning readers index eagerly
-        start = entry.payload_offset
-        compressed = self._data[start:start + meta.compressed_size]
-        incompressible = self._data[
-            start + meta.compressed_size:
-            start + meta.compressed_size + meta.incompressible_size
-        ]
-        # Delegate to the shared chunk decoder so every mode the
-        # pipeline can write (including resilience fallbacks) reads
-        # back identically here.
-        return decode_chunk_payload(
-            self._header, self._codec, meta, compressed, incompressible,
-            chunk_index=entry.index, byte_offset=start,
+            header, list(iter_chain(data, header, offset)), errors,
+            cache_chunks,
         )
 
 
@@ -411,7 +334,7 @@ class ContainerFile(_RangeReaderBase):
     each ``read_chunk`` then seeks directly to its record.  When the
     footer cannot be used (missing on pre-footer containers, truncated,
     CRC-failed, or inconsistent with the header) the reader falls back
-    transparently to loading the stream and walking the chunk chain,
+    transparently to walking the chunk chain one record at a time,
     and counts the event under
     ``isobar_container_footer_fallback_total{reason=}``.
 
@@ -439,8 +362,8 @@ class ContainerFile(_RangeReaderBase):
         else:
             self._file = source
             self._owned = False
+        self._source = self._file
         self._closed = False
-        self._data: bytes | None = None  # populated only on fallback
         self._fallback_reason: str | None = None
         try:
             self._open_index(errors, cache_chunks)
@@ -480,15 +403,13 @@ class ContainerFile(_RangeReaderBase):
             reason = location.status
 
         if index is None:
-            # Fallback: the historical structural scan over the whole
-            # stream.  Strictly worse than the footer path (O(n_chunks)
-            # and a full read) but keeps every pre-footer and damaged
-            # container readable.
+            # Fallback: the strict chain walk, one record read per
+            # chunk.  Worse than the footer path (O(n_chunks) reads)
+            # but keeps every pre-footer and damaged container readable.
             assert reason is not None
             self._fallback_reason = reason
             self._instruments.footer_fallback.inc(1, reason=reason)
-            self._data = self._pread(0, file_size)
-            index = _scan_index(self._data, header, header_end)
+            index = list(iter_chain(self._file, header, header_end))
         self._init_base(header, index, errors, cache_chunks)
 
     def _pread(self, offset: int, n_bytes: int) -> bytes:
@@ -526,25 +447,11 @@ class ContainerFile(_RangeReaderBase):
     # -- decoding ---------------------------------------------------------
 
     def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        if self._data is not None:
-            meta = entry.metadata
-            assert meta is not None
-            start = entry.payload_offset
-            compressed = self._data[start:start + meta.compressed_size]
-            incompressible = self._data[
-                start + meta.compressed_size:entry.payload_end
-            ]
-            return decode_chunk_payload(
-                self._header, self._codec, meta, compressed, incompressible,
-                chunk_index=entry.index, byte_offset=start,
-            )
+        if entry.metadata is not None:  # scan-opened: walked records
+            return super()._load_chunk(entry)
         # Footer path: one seek + one read covers record and payloads.
-        record_nbytes = chunk_record_nbytes(self._header.element_width)
-        record_offset = entry.payload_offset - record_nbytes
-        blob = self._pread(
-            record_offset,
-            record_nbytes + entry.compressed_size + entry.incompressible_size,
-        )
+        record_offset = entry.record_offset
+        blob = self._pread(record_offset, entry.payload_end - record_offset)
         meta, payload_pos = ChunkMetadata.decode(
             blob, 0, self._header.element_width
         )
@@ -558,12 +465,9 @@ class ContainerFile(_RangeReaderBase):
                 "chunk record disagrees with the index footer "
                 "(container modified after indexing?)"
             )
-        compressed = blob[payload_pos:payload_pos + entry.compressed_size]
-        incompressible = blob[
-            payload_pos + entry.compressed_size:
-            payload_pos + entry.compressed_size + entry.incompressible_size
-        ]
+        split = payload_pos + entry.compressed_size
         return decode_chunk_payload(
-            self._header, self._codec, meta, compressed, incompressible,
+            self._header, self._codec, meta, blob[payload_pos:split],
+            blob[split:split + entry.incompressible_size],
             chunk_index=entry.index, byte_offset=record_offset,
         )

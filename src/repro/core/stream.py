@@ -39,13 +39,13 @@ from repro.core.exceptions import (
     InvalidInputError,
     IsobarError,
     SelectorError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
     ChunkIndexRecord,
     ChunkMetadata,
     ContainerFooter,
     ContainerHeader,
+    iter_chain,
     locate_footer,
 )
 from repro.core.pipeline_engine import bounded_relay
@@ -607,7 +607,10 @@ def stream_decompress(
 
     Verifies each chunk's CRC before yielding; memory use is bounded by
     one chunk on the strict path (``1 + readahead_chunks`` with
-    readahead).
+    readahead).  The strict path walks the chain with
+    :func:`~repro.core.metadata.iter_chain`, so after the last chunk it
+    raises :class:`ContainerFormatError` when the chunks do not cover
+    the header's element count, as every strict reader does.
 
     Parameters
     ----------
@@ -686,33 +689,18 @@ def stream_decompress(
     tracer = Tracer(registry) if registry.enabled else NULL_TRACER
 
     def _decode_chunks() -> Iterator[np.ndarray]:
+        codec = get_codec(header.codec_name)
         with open(path, "rb") as source:
-            source.seek(offset)
-            codec = get_codec(header.codec_name)
-            width = header.element_width
-            for index in range(header.n_chunks):
-                # Chunk metadata has bounded size; read generously then
-                # seek to the payload start.
-                meta_start = source.tell()
-                meta_buf = source.read(64 + (width + 7) // 8)
-                meta, consumed = ChunkMetadata.decode(meta_buf, 0, width)
-                source.seek(meta_start + consumed)
-                compressed = source.read(meta.compressed_size)
-                incompressible = source.read(meta.incompressible_size)
-                if (
-                    len(compressed) != meta.compressed_size
-                    or len(incompressible) != meta.incompressible_size
-                ):
-                    raise TruncatedContainerError(
-                        f"chunk {index} at byte offset {meta_start}: "
-                        "container truncated mid-chunk"
-                    )
+            for entry in iter_chain(source, header, offset):
+                assert entry.metadata is not None
+                compressed, incompressible = entry.payloads(source)
                 decode_start = (
                     _time.perf_counter() if registry.enabled else 0.0
                 )
                 chunk = decode_chunk_payload(
-                    header, codec, meta, compressed, incompressible,
-                    chunk_index=index, byte_offset=meta_start,
+                    header, codec, entry.metadata, compressed,
+                    incompressible, chunk_index=entry.index,
+                    byte_offset=entry.record_offset,
                 )
                 if registry.enabled:
                     tracer.add(

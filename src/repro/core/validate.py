@@ -25,16 +25,29 @@ Checks performed per container:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import zlib as _zlib
 
 from repro.codecs.base import get_codec
 from repro.core.exceptions import IsobarError, UnknownCodecError
-from repro.core.metadata import ChunkMode, ContainerHeader, locate_footer
+from repro.core.metadata import (
+    ChunkIndexRecord,
+    ChunkMode,
+    ContainerHeader,
+    FooterLocation,
+    locate_footer,
+)
 from repro.core.partitioner import reassemble_matrix
 
-__all__ = ["ChunkFinding", "ValidationReport", "validate_container"]
+__all__ = [
+    "ChunkFinding",
+    "FooterCheck",
+    "ValidationReport",
+    "classify_footer",
+    "validate_container",
+]
 
 
 @dataclass(frozen=True)
@@ -138,16 +151,16 @@ def validate_container(data: bytes) -> ValidationReport:
     element_cursor = 0
     index = 0
     end = offset
-    chain: list[tuple[int, int, int, int]] = []
+    chain: list[ChunkIndexRecord] = []
     for event in scan_chunks(data, header, offset, codec):
         end = max(end, event.end)
         if event.kind == "chunk":
             chain.append(
-                (
-                    event.payload_offset,
-                    event.meta.compressed_size,
-                    event.meta.incompressible_size,
-                    event.meta.n_elements,
+                ChunkIndexRecord(
+                    payload_offset=event.payload_offset,
+                    compressed_size=event.meta.compressed_size,
+                    incompressible_size=event.meta.incompressible_size,
+                    n_elements=event.meta.n_elements,
                 )
             )
         if event.kind == "gap":
@@ -268,93 +281,97 @@ def validate_container(data: bytes) -> ValidationReport:
             f"chunks cover {element_cursor} elements, header declares "
             f"{header.n_elements}",
         )
-    _classify_footer(report, data, header, chain, end)
+    check = classify_footer(data, header, chain, end)
+    report.footer_status, report.footer_detail = check.status, check.detail
+    location = check.location
+    repair_hint = "; run `isobar fsck --repair` to rebuild it"
+    if check.status == "inconsistent":
+        report.warn(
+            -1, f"chunk-index footer inconsistent: {check.detail}{repair_hint}"
+        )
+    if location.ok and end < location.start:
+        report.warn(
+            -1,
+            f"{location.start - end} trailing bytes between the last "
+            "chunk and the footer",
+        )
+    if check.status == "rebuildable":
+        report.warn(
+            -1,
+            f"chunk-index footer {location.status}: {check.detail}"
+            f"{repair_hint}",
+        )
+        if len(data) > end:
+            report.warn(
+                -1, f"{len(data) - end} trailing bytes after the last chunk"
+            )
     return report
 
 
-def _classify_footer(
-    report: ValidationReport,
+@dataclass(frozen=True)
+class FooterCheck:
+    """Verdict of :func:`classify_footer` on a container's index footer.
+
+    ``status`` is ``"ok"`` (validated and consistent with the chain),
+    ``"absent"`` (pre-footer container), ``"rebuildable"`` (lost,
+    truncated, CRC-failed or debris — rebuildable from the chain) or
+    ``"inconsistent"`` (validates but disagrees with the header or
+    chain); ``location`` is the raw discovery result.
+    """
+
+    status: str
+    detail: str
+    location: FooterLocation
+
+
+def classify_footer(
     data: bytes,
     header: ContainerHeader,
-    chain: list[tuple[int, int, int, int]],
+    chain: Sequence[ChunkIndexRecord],
     chain_end: int,
-) -> None:
+) -> FooterCheck:
     """Cross-check the index footer against the walked chunk chain.
 
-    Sets ``report.footer_status`` to the four-way classification and
-    records the trailing-garbage warning for bytes that are neither
-    chunk chain nor valid footer.
+    ``chain`` holds the records the chain walk found and ``chain_end``
+    the offset just past them.  Shared by ``isobar verify`` and
+    ``isobar fsck``, which map the verdict into their own reports.
     """
     location = locate_footer(data)
-    if location.ok:
-        footer = location.footer
-        assert footer is not None
+    footer = location.footer
+    if footer is not None:
         if footer.n_chunks != header.n_chunks:
-            report.footer_status = "inconsistent"
-            report.footer_detail = (
+            detail = (
                 f"footer indexes {footer.n_chunks} chunks, header "
                 f"declares {header.n_chunks} (stale footer after append?)"
             )
+        elif len(chain) != footer.n_chunks:
+            detail = (
+                f"footer indexes {footer.n_chunks} chunks, chain walk "
+                f"found {len(chain)}"
+            )
         else:
             mismatch = next(
-                (
-                    i
-                    for i, (entry, walked) in enumerate(
-                        zip(footer.entries, chain)
-                    )
-                    if (
-                        entry.payload_offset,
-                        entry.compressed_size,
-                        entry.incompressible_size,
-                        entry.n_elements,
-                    )
-                    != walked
-                ),
+                (i for i, (entry, walked) in enumerate(
+                    zip(footer.entries, chain)
+                ) if entry != walked),
                 None,
             )
-            if len(chain) != footer.n_chunks:
-                report.footer_status = "inconsistent"
-                report.footer_detail = (
-                    f"footer indexes {footer.n_chunks} chunks, chain "
-                    f"walk found {len(chain)}"
-                )
-            elif mismatch is not None:
-                report.footer_status = "inconsistent"
-                report.footer_detail = (
-                    f"footer entry {mismatch} disagrees with the "
-                    "chunk chain"
-                )
-            else:
-                report.footer_status = "ok"
-        if report.footer_status == "inconsistent":
-            report.warn(
-                -1,
-                f"chunk-index footer inconsistent: {report.footer_detail}; "
-                "run `isobar fsck --repair` to rebuild it",
-            )
-        if chain_end < location.start:
-            report.warn(
-                -1,
-                f"{location.start - chain_end} trailing bytes between "
-                "the last chunk and the footer",
-            )
-        return
+            if mismatch is None:
+                return FooterCheck("ok", "", location)
+            detail = f"footer entry {mismatch} disagrees with the chunk chain"
+        return FooterCheck("inconsistent", detail, location)
     trailing = len(data) - chain_end
     if location.status == "absent" and trailing == 0:
-        report.footer_status = "absent"
-        report.footer_detail = "pre-footer container (scan-indexed open)"
-        return
+        return FooterCheck(
+            "absent", "pre-footer container (scan-indexed open)", location
+        )
     # Footer damaged or replaced by debris: a forward scan still
     # reconstructs the index, so fsck can rebuild it.
-    report.footer_status = "rebuildable"
-    report.footer_detail = location.detail or (
-        f"{trailing} trailing bytes after the last chunk are not a "
-        "valid footer"
+    return FooterCheck(
+        "rebuildable",
+        location.detail or (
+            f"{trailing} trailing bytes after the last chunk are not a "
+            "valid footer"
+        ),
+        location,
     )
-    report.warn(
-        -1,
-        f"chunk-index footer {location.status}: {report.footer_detail}; "
-        "run `isobar fsck --repair` to rebuild it",
-    )
-    if trailing:
-        report.warn(-1, f"{trailing} trailing bytes after the last chunk")

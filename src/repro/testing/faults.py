@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.core.exceptions import InvalidInputError
 from repro.core.metadata import (
-    ChunkMetadata,
+    ChunkIndexEntry,
     ContainerHeader,
+    iter_chain,
     locate_footer,
 )
 
@@ -124,19 +125,15 @@ def corrupt_header_magic(data: bytes) -> bytes:
 # -- container-aware injectors -------------------------------------------
 
 
+def _chain(data: bytes) -> list[ChunkIndexEntry]:
+    header, offset = ContainerHeader.decode(data)
+    return list(iter_chain(data, header, offset))
+
+
 def chunk_extents(data: bytes) -> list[tuple[int, int]]:
     """Byte extents ``[(start, end), ...]`` of each chunk in a *clean*
     container (record + payloads).  Used to aim structural faults."""
-    header, offset = ContainerHeader.decode(data)
-    extents = []
-    for _ in range(header.n_chunks):
-        start = offset
-        meta, payload_offset = ChunkMetadata.decode(
-            data, offset, header.element_width
-        )
-        offset = payload_offset + meta.compressed_size + meta.incompressible_size
-        extents.append((start, offset))
-    return extents
+    return [(entry.record_offset, entry.payload_end) for entry in _chain(data)]
 
 
 def chunk_chain_end(data: bytes) -> int:
@@ -153,24 +150,24 @@ def chunk_chain_end(data: bytes) -> int:
     return offset
 
 
-def _require_chunk(data: bytes, index: int) -> tuple[int, int]:
-    extents = chunk_extents(data)
-    if not 0 <= index < len(extents):
+def _require_chunk(data: bytes, index: int) -> ChunkIndexEntry:
+    chain = _chain(data)
+    if not 0 <= index < len(chain):
         raise InvalidInputError(
-            f"chunk index {index} out of range for {len(extents)} chunks"
+            f"chunk index {index} out of range for {len(chain)} chunks"
         )
-    return extents[index]
+    return chain[index]
 
 
 def delete_chunk(data: bytes, index: int) -> bytes:
     """Remove chunk ``index`` entirely (record and payloads)."""
-    start, end = _require_chunk(data, index)
-    return data[:start] + data[end:]
+    entry = _require_chunk(data, index)
+    return data[:entry.record_offset] + data[entry.payload_end:]
 
 
 def corrupt_chunk_magic(data: bytes, index: int) -> bytes:
     """Destroy chunk ``index``'s 4-byte ``CHNK`` framing magic."""
-    start, _ = _require_chunk(data, index)
+    start = _require_chunk(data, index).record_offset
     damaged = bytearray(data)
     damaged[start:start + 4] = b"XXXX"
     return bytes(damaged)
@@ -231,10 +228,9 @@ def stale_footer(data: bytes, chunk_index: int) -> bytes:
         raise InvalidInputError(
             "container has no validated index footer to stale-date"
         )
-    start, end = _require_chunk(data, chunk_index)
+    entry = _require_chunk(data, chunk_index)
     header, header_end = ContainerHeader.decode(data)
-    meta, _ = ChunkMetadata.decode(data, start, header.element_width)
-    n_elements = header.n_elements + meta.n_elements
+    n_elements = header.n_elements + entry.n_elements
     patched = _dc_replace(
         header,
         n_elements=n_elements,
@@ -250,7 +246,7 @@ def stale_footer(data: bytes, chunk_index: int) -> bytes:
     return (
         encoded
         + data[header_end:location.start]
-        + data[start:end]
+        + data[entry.record_offset:entry.payload_end]
         + data[location.start:]
     )
 

@@ -392,3 +392,36 @@ class TestStreamingResilience:
             for chunk in stream_decompress(path, readahead_chunks=2):
                 consumed.append(chunk)
         assert consumed  # earlier chunks arrived before the error
+
+
+class TestStrictChainCoverage:
+    """The strict stream reader checks the walked chain against the
+    header, as the in-memory strict readers do."""
+
+    @pytest.mark.parametrize(
+        "field, delta, covered",
+        [("n_chunks", -1, 8192), ("n_elements", -1, 12_288),
+         ("n_elements", 1, 12_288)],
+    )
+    def test_header_disagreeing_with_chain_raises(
+        self, tmp_path, rng, field, delta, covered
+    ):
+        from dataclasses import replace
+
+        from repro.core.metadata import ContainerHeader
+
+        values = build_structured(3 * 4096, np.float64, 6, rng)
+        payload = IsobarCompressor(
+            IsobarConfig(chunk_elements=4096, sample_elements=1024)
+        ).compress(values)
+        header, offset = ContainerHeader.decode(payload)
+        tampered = replace(header, **{field: getattr(header, field) + delta})
+        path = tmp_path / "c.isobar"
+        path.write_bytes(tampered.encode() + payload[offset:])
+        yielded = []
+        with pytest.raises(ContainerFormatError,
+                           match=f"chunks cover {covered} elements"):
+            for chunk in stream_decompress(path):
+                yielded.append(chunk)
+        # Every walked chunk still arrives before the coverage check.
+        assert sum(chunk.size for chunk in yielded) == covered
