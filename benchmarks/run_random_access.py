@@ -8,7 +8,12 @@ Measures, across container sizes:
   and the in-memory `ContainerReader` (load + scan);
 * **random range reads** — many small `read_range` calls through a
   footer-opened `ContainerFile` against the strict decompress-then-
-  slice baseline.
+  slice baseline;
+* **skewed reads through a bounded cache** — `ContainerFile` with
+  `cache_chunks = n_chunks // 4` serving reads whose chunk follows a
+  seeded Zipf popularity: reads per second, and solver decodes per
+  read (counted by a pass-through codec wrapper, so the figure means
+  the same on any version of the reader).
 
 Canonical invocation (records the repo's benchmark artifact)::
 
@@ -30,13 +35,19 @@ import time
 
 import numpy as np
 
-from repro.core.metadata import locate_footer
+from repro.core.metadata import ContainerHeader, locate_footer
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
 from repro.core.random_access import ContainerFile, ContainerReader
 from repro.datasets.synthetic import build_structured
+from repro.testing.chaos import ChaosWrapper, chaos_codec
 
 _CHUNK = 50_000
+#: Zipf exponent of chunk popularity in the bounded-cache scenario.
+_ZIPF = 1.6
+#: Skewed reads per container: enough for the cache to reach its
+#: steady state, so first touches do not dominate.
+_SKEWED_READS_PER_CHUNK = 16
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -112,7 +123,41 @@ def _measure_case(n_elements: int, repeats: int, n_reads: int,
         full_decode_then_slice_ms=round(full * 1e3, 2),
         range_speedup_vs_full=round(full / ranged, 2) if ranged else None,
     )
+    row.update(_measure_skewed(footered, payload, row["n_chunks"], window,
+                               rng))
     return row
+
+
+def _measure_skewed(path: str, payload: bytes, n_chunks: int, window: int,
+                    rng: np.random.Generator) -> dict:
+    """Zipf-skewed reads through a cache holding a quarter of the chunks."""
+    cache_chunks = n_chunks // 4
+    ranking = rng.permutation(n_chunks)
+    weights = 1.0 / np.arange(1, n_chunks + 1) ** _ZIPF
+    popularity = np.empty(n_chunks)
+    popularity[ranking] = weights / weights.sum()
+    n_skewed = _SKEWED_READS_PER_CHUNK * n_chunks
+    chunks = rng.choice(n_chunks, size=n_skewed, p=popularity)
+    offsets = rng.integers(0, _CHUNK - window, size=n_skewed)
+    spans = [
+        (int(c) * _CHUNK + int(o), int(c) * _CHUNK + int(o) + window)
+        for c, o in zip(chunks, offsets)
+    ]
+    header, _ = ContainerHeader.decode(payload)
+    counter = ChaosWrapper(header.codec_name)
+    with chaos_codec(counter), ContainerFile(
+        path, cache_chunks=cache_chunks
+    ) as reader:
+        start = time.perf_counter()
+        for a, b in spans:
+            reader.read_range(a, b)
+        elapsed = time.perf_counter() - start
+    return {
+        "skewed_cache_chunks": cache_chunks,
+        "n_skewed_reads": n_skewed,
+        "skewed_reads_per_s": round(n_skewed / elapsed, 1),
+        "skewed_solver_decodes_per_read": round(counter.calls / n_skewed, 4),
+    }
 
 
 def run(n_sizes: list[int], repeats: int, n_reads: int, seed: int) -> dict:
@@ -126,7 +171,11 @@ def run(n_sizes: list[int], repeats: int, n_reads: int, seed: int) -> dict:
                 f"scan={row['open_scan_us']}us "
                 f"({row['open_speedup_vs_scan']}x)  "
                 f"{n_reads} range reads={row['range_reads_ms']}ms vs "
-                f"full decode={row['full_decode_then_slice_ms']}ms",
+                f"full decode={row['full_decode_then_slice_ms']}ms  "
+                f"skewed cache={row['skewed_cache_chunks']}: "
+                f"{row['skewed_reads_per_s']} reads/s, "
+                f"{row['skewed_solver_decodes_per_read']} solver "
+                "decodes/read",
                 flush=True,
             )
     return {

@@ -133,6 +133,7 @@ def decode_chunk_payload(
     chunk_index: int | None = None,
     byte_offset: int | None = None,
     out: np.ndarray | None = None,
+    solved: bytes | None = None,
 ) -> np.ndarray:
     """Decode one chunk's payload streams back into an element array.
 
@@ -148,6 +149,14 @@ def decode_chunk_payload(
     ``meta.n_elements`` elements; the chunk is decoded into it and
     ``out`` is returned, so callers can assemble a whole container in a
     single preallocated buffer without a concatenation pass.
+
+    ``solved``, when given, stands in for the solver's output on a
+    ``PARTITIONED`` chunk — the compressible stream exactly as
+    ``codec.decompress(compressed)`` returns it — so a reader that kept
+    that stream rebuilds the chunk without running the solver.  The
+    stream lengths and the chunk CRC are checked as on any decode, so
+    a stream that does not belong to this chunk fails like damage.
+    Other modes ignore it: their solver output is the whole chunk.
     """
     where = ""
     if chunk_index is not None:
@@ -165,7 +174,12 @@ def decode_chunk_payload(
             # Degraded-to-raw chunks carry an all-False mask and an
             # empty solver stream; skip the solver for them (stdlib
             # zlib rejects empty streams, and there is nothing to do).
-            comp_stream = codec.decompress(compressed) if compressed else b""
+            if solved is not None:
+                comp_stream = solved
+            elif compressed:
+                comp_stream = codec.decompress(compressed)
+            else:
+                comp_stream = b""
             matrix_out = _writable_byte_view(out) if out is not None else None
             matrix = reassemble_matrix(
                 comp_stream,

@@ -25,6 +25,13 @@ Both expose the same query surface —
 bound.  For ICDE's query workloads this is the payoff of chunked
 framing: a range read touches ``O(range / chunk_elements)`` chunks
 instead of the whole stream.
+
+A bounded cache keeps more than it shows: when it evicts a partitioned
+chunk, the chunk's solver output (its compressible byte-columns) is
+kept, and a later miss rebuilds the chunk from that stream plus the
+raw columns re-read from the container — the solver, the expensive
+part of a decode, does not run again.  Every rebuild passes the same
+record and CRC checks as a fresh decode.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ from __future__ import annotations
 import bisect
 import os
 import struct
+import zlib
 from collections import OrderedDict
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
+from repro.analysis.bytefreq import byte_view
 from repro.codecs.base import Codec, get_codec
 from repro.core.exceptions import (
     ConfigurationError,
@@ -47,6 +56,7 @@ from repro.core.exceptions import (
 from repro.core.metadata import (
     ChunkIndexEntry,
     ChunkMetadata,
+    ChunkMode,
     ContainerFooter,
     ContainerHeader,
     chunk_record_nbytes,
@@ -54,7 +64,8 @@ from repro.core.metadata import (
     locate_footer,
 )
 from repro.core.pipeline import decode_chunk_payload
-from repro.core.preferences import normalize_errors
+from repro.core.preferences import Linearization, normalize_errors
+from repro.core.workspace import gather_columns
 from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -108,37 +119,99 @@ def _footer_index(
     return index
 
 
+class _Origin(NamedTuple):
+    """What a decoded partitioned chunk's solver output can be kept as."""
+
+    mask: np.ndarray  # the record's compressible byte-columns
+    payload_crc: int  # crc32 of the solver payload it was decoded from
+
+
+class _Kept(NamedTuple):
+    """An evicted chunk's solver output, ready to rebuild the chunk from."""
+
+    stream: bytes  # compressible columns in the header's linearization
+    payload_crc: int  # crc32 of the solver payload it stands in for
+
+
+def _keepable(meta: ChunkMetadata) -> bool:
+    """Whether keeping ``meta``'s solver output saves a solver run and
+    costs strictly less memory than the chunk: a partitioned chunk with
+    both compressible and raw columns.  Passthrough and zlib-fallback
+    chunks are all solver output; degraded-raw ones have none."""
+    n_solved = int(np.count_nonzero(meta.mask))
+    return meta.mode is ChunkMode.PARTITIONED and 0 < n_solved < meta.mask.size
+
+
 class _ChunkCache:
-    """LRU memoisation of decoded chunks.
+    """Two-tier LRU: decoded chunks, then evicted chunks' solver output.
 
     ``capacity=None`` keeps every decoded chunk (the historical
     behaviour, right for small containers); an integer bounds the
     cache so long-lived range-serving readers cannot grow without
     limit; ``0`` disables caching entirely.
+
+    When the bounded first tier evicts a chunk that has an
+    :class:`_Origin`, its compressible stream is gathered from the
+    decoded chunk and kept in a second LRU of the same capacity, so at
+    most ``capacity`` decoded chunks plus ``capacity`` kept streams —
+    each strictly smaller than its chunk — are held.
     """
 
-    def __init__(self, capacity: int | None):
+    def __init__(self, capacity: int | None, linearization: Linearization):
         if capacity is not None and capacity < 0:
             raise ConfigurationError(
                 f"cache_chunks must be None or >= 0, got {capacity}"
             )
         self._capacity = capacity
-        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._linearization = linearization
+        self._entries: OrderedDict[
+            int, tuple[np.ndarray, _Origin | None]
+        ] = OrderedDict()
+        self._kept: OrderedDict[int, _Kept] = OrderedDict()
+
+    @property
+    def keeps(self) -> bool:
+        """Whether evictions can happen, so solver output is worth
+        tracking (a bounded, non-zero capacity)."""
+        return bool(self._capacity)
+
+    @property
+    def kept_streams(self) -> int:
+        """Solver streams currently kept for evicted chunks."""
+        return len(self._kept)
 
     def get(self, index: int) -> np.ndarray | None:
-        chunk = self._entries.get(index)
-        if chunk is not None and self._capacity is not None:
+        found = self._entries.get(index)
+        if found is None:
+            return None
+        if self._capacity is not None:
             self._entries.move_to_end(index)
-        return chunk
+        return found[0]
 
-    def put(self, index: int, chunk: np.ndarray) -> None:
+    def take_kept(self, index: int) -> _Kept | None:
+        """Remove and return the solver output kept for ``index``."""
+        return self._kept.pop(index, None)
+
+    def put(
+        self, index: int, chunk: np.ndarray, origin: _Origin | None
+    ) -> None:
         if self._capacity == 0:
             return
-        self._entries[index] = chunk
+        self._entries[index] = (chunk, origin)
         if self._capacity is not None:
             self._entries.move_to_end(index)
             while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+                evicted, (old, old_origin) = self._entries.popitem(last=False)
+                if old_origin is not None:
+                    self._keep(evicted, old, old_origin)
+
+    def _keep(self, index: int, chunk: np.ndarray, origin: _Origin) -> None:
+        assert self._capacity is not None
+        columns = np.flatnonzero(origin.mask)
+        stream = gather_columns(byte_view(chunk), columns, self._linearization)
+        self._kept[index] = _Kept(stream.tobytes(), origin.payload_crc)
+        while len(self._kept) > self._capacity:
+            self._kept.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,6 +233,7 @@ class _RangeReaderBase:
     _index: list[ChunkIndexEntry]
     _starts: list[int]
     _cache: _ChunkCache
+    _instruments = PipelineInstruments(NULL_REGISTRY)
 
     def _init_base(
         self,
@@ -173,7 +247,7 @@ class _RangeReaderBase:
         self._errors = normalize_errors(errors)
         self._index = index
         self._starts = [entry.element_start for entry in index]
-        self._cache = _ChunkCache(cache_chunks)
+        self._cache = _ChunkCache(cache_chunks, header.linearization)
 
     # -- introspection ----------------------------------------------------
 
@@ -212,18 +286,53 @@ class _RangeReaderBase:
 
     # -- decoding ---------------------------------------------------------
 
-    def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        """Fetch and decode one walked chunk (raises on damage)."""
+    def _fetch(
+        self, entry: ChunkIndexEntry
+    ) -> tuple[ChunkMetadata, bytes, bytes]:
+        """Read one chunk's record and its two payload streams."""
         meta = entry.metadata
         assert meta is not None  # iter_chain entries carry their record
         compressed, incompressible = entry.payloads(self._source)
-        return decode_chunk_payload(
+        return meta, compressed, incompressible
+
+    def _decode(
+        self, entry: ChunkIndexEntry, kept: _Kept | None
+    ) -> tuple[np.ndarray, _Origin | None]:
+        """Fetch and decode one chunk (raises on damage), rebuilding it
+        from ``kept`` solver output when that still matches the file."""
+        meta, compressed, incompressible = self._fetch(entry)
+        origin = None
+        if self._cache.keeps and _keepable(meta):
+            origin = _Origin(meta.mask, zlib.crc32(compressed))
+        if (
+            kept is not None
+            and origin is not None
+            and kept.payload_crc == origin.payload_crc
+        ):
+            try:
+                chunk = decode_chunk_payload(
+                    self._header, self._codec, meta, compressed,
+                    incompressible, chunk_index=entry.index,
+                    byte_offset=entry.record_offset, solved=kept.stream,
+                )
+            except IsobarError:
+                pass  # the rebuild failed its checks: the solver decides
+            else:
+                self._instruments.reader_chunk_loads.inc(1, source="kept")
+                return chunk, origin
+        chunk = decode_chunk_payload(
             self._header, self._codec, meta, compressed, incompressible,
             chunk_index=entry.index, byte_offset=entry.record_offset,
         )
+        self._instruments.reader_chunk_loads.inc(1, source="solver")
+        return chunk, origin
 
     def read_chunk(self, index: int) -> np.ndarray:
-        """Decode exactly one chunk (memoised per ``cache_chunks``)."""
+        """Decode exactly one chunk (memoised per ``cache_chunks``).
+
+        The returned array is read-only: it may be the cache's own
+        copy, shared with later reads.
+        """
         if not 0 <= index < self.n_chunks:
             raise InvalidInputError(
                 f"chunk {index} out of range [0, {self.n_chunks})"
@@ -232,8 +341,9 @@ class _RangeReaderBase:
         if cached is not None:
             return cached
         entry = self._index[index]
+        origin = None
         try:
-            chunk = self._load_chunk(entry)
+            chunk, origin = self._decode(entry, self._cache.take_kept(index))
         except IsobarError:
             if self._errors == "raise":
                 raise
@@ -241,7 +351,8 @@ class _RangeReaderBase:
                 chunk = np.zeros(entry.n_elements, dtype=self._header.dtype)
             else:  # salvage-skip: the chunk's elements are simply gone
                 chunk = np.empty(0, dtype=self._header.dtype)
-        self._cache.put(index, chunk)
+        chunk.flags.writeable = False
+        self._cache.put(index, chunk, origin)
         return chunk
 
     def read_range(self, start: int, stop: int) -> np.ndarray:
@@ -308,7 +419,10 @@ class ContainerReader(_RangeReaderBase):
 
     ``cache_chunks`` bounds the decoded-chunk memoisation: ``None``
     (default) keeps every decoded chunk, an integer keeps an LRU of at
-    most that many, ``0`` disables caching.
+    most that many, ``0`` disables caching.  A bounded cache also keeps
+    the solver output of up to that many evicted partitioned chunks,
+    so re-reading one skips the solver (see the "Reader cache" section
+    of ``docs/container_format.md``).
     """
 
     def __init__(
@@ -446,9 +560,11 @@ class ContainerFile(_RangeReaderBase):
 
     # -- decoding ---------------------------------------------------------
 
-    def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
+    def _fetch(
+        self, entry: ChunkIndexEntry
+    ) -> tuple[ChunkMetadata, bytes, bytes]:
         if entry.metadata is not None:  # scan-opened: walked records
-            return super()._load_chunk(entry)
+            return super()._fetch(entry)
         # Footer path: one seek + one read covers record and payloads.
         record_offset = entry.record_offset
         blob = self._pread(record_offset, entry.payload_end - record_offset)
@@ -466,8 +582,8 @@ class ContainerFile(_RangeReaderBase):
                 "(container modified after indexing?)"
             )
         split = payload_pos + entry.compressed_size
-        return decode_chunk_payload(
-            self._header, self._codec, meta, blob[payload_pos:split],
+        return (
+            meta,
+            blob[payload_pos:split],
             blob[split:split + entry.incompressible_size],
-            chunk_index=entry.index, byte_offset=record_offset,
         )

@@ -24,11 +24,36 @@ import numpy as np
 
 from repro.core.preferences import Linearization
 
-__all__ = ["ChunkWorkspace"]
+__all__ = ["ChunkWorkspace", "gather_columns"]
 
 #: Memoised mask-index entries kept before the cache is reset (masks
 #: are tiny; this only guards against adversarial mask churn).
 _MASK_CACHE_LIMIT = 128
+
+
+def gather_columns(
+    matrix: np.ndarray,
+    columns: np.ndarray,
+    linearization: Linearization,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gather byte-columns of an ``(N, w)`` matrix into one stream.
+
+    ``ROW`` keeps each element's selected bytes adjacent; ``COLUMN``
+    emits whole byte-columns in sequence — the stream layouts
+    :func:`repro.core.partitioner.partition_matrix` defines.  The
+    result is a C-contiguous uint8 array whose bytes are the stream;
+    ``out``, when given, is a 1-D uint8 buffer of exactly
+    ``N * len(columns)`` bytes that receives it.
+    """
+    n = matrix.shape[0]
+    k = columns.size
+    if linearization is Linearization.ROW:
+        shaped = None if out is None else out.reshape(n, k)
+        return np.take(matrix, columns, axis=1, out=shaped)
+    shaped = None if out is None else out.reshape(k, n)
+    return np.take(matrix.T, columns, axis=0, out=shaped)
 
 
 class ChunkWorkspace:
@@ -89,22 +114,17 @@ class ChunkWorkspace:
         comp_idx, incomp_idx = self.column_indices(mask)
 
         if comp_idx.size:
-            k = comp_idx.size
-            flat = self.scratch("comp", n * k)
-            if lin is Linearization.ROW:
-                np.take(matrix, comp_idx, axis=1, out=flat.reshape(n, k))
-            else:
-                np.take(matrix.T, comp_idx, axis=0, out=flat.reshape(k, n))
+            flat = self.scratch("comp", n * comp_idx.size)
+            gather_columns(matrix, comp_idx, lin, out=flat)
             compressible = flat.tobytes()
         else:
             compressible = b""
 
         if incomp_idx.size:
-            k = incomp_idx.size
-            flat = self.scratch("incomp", n * k)
+            flat = self.scratch("incomp", n * incomp_idx.size)
             # The incompressible side is always column-major so each
             # noise column stays contiguous (matches partition_matrix).
-            np.take(matrix.T, incomp_idx, axis=0, out=flat.reshape(k, n))
+            gather_columns(matrix, incomp_idx, Linearization.COLUMN, out=flat)
             incompressible = flat.data
         else:
             incompressible = memoryview(b"")

@@ -120,6 +120,12 @@ class PipelineInstruments:
         to the structural chain scan (``reason`` is the footer
         classification: ``absent``, ``truncated``, ``malformed``,
         ``crc_mismatch`` or ``inconsistent``).
+    ``reader_chunk_loads``
+        ``isobar_reader_chunk_loads_total{source=solver|kept}`` —
+        chunks a random-access reader decoded on a cache miss, by where
+        the solver output came from: ``solver`` ran the codec,
+        ``kept`` rebuilt the chunk from the solver output kept when a
+        bounded cache evicted it.
     """
 
     def __init__(self, registry):
@@ -241,6 +247,11 @@ class PipelineInstruments:
             "isobar_container_footer_fallback_total",
             "Container opens that fell back from the index footer to "
             "the structural chain scan, by reason.",
+        )
+        self.reader_chunk_loads = registry.counter(
+            "isobar_reader_chunk_loads_total",
+            "Chunks a random-access reader decoded on a cache miss, by "
+            "source of the solver output (solver, kept).",
         )
 
     def record_chunk_outcome(

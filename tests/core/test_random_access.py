@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import ChecksumError, InvalidInputError
+import repro
+from repro.core.exceptions import ChecksumError, InvalidInputError, IsobarError
+from repro.core.metadata import ChunkMode
 from repro.core.pipeline import IsobarCompressor
-from repro.core.preferences import IsobarConfig
-from repro.core.random_access import ContainerReader
+from repro.core.preferences import IsobarConfig, Linearization
+from repro.core.random_access import ContainerFile, ContainerReader
 from repro.datasets.synthetic import build_structured
+from repro.observability.registry import MetricsRegistry
+from repro.testing.chaos import FlakyCodec, chaos_codec
 from repro.testing.faults import chunk_chain_end
 
 # 25k-element chunks: reliable analyzer statistics at tau=1.42.
@@ -103,6 +107,20 @@ class TestReads:
         second = reader.read_chunk(1)
         assert first is second
 
+    @pytest.mark.parametrize("errors", ["raise", "salvage-zero"])
+    def test_read_chunk_is_read_only(self, stored, tmp_path, errors):
+        # The chunk handed out is the cache's own: writing to it would
+        # change what every later read of those elements returns.
+        payload, values = stored
+        path = tmp_path / "c.isobar"
+        path.write_bytes(payload)
+        with ContainerFile(path, errors=errors) as reader:
+            chunk = reader.read_chunk(0)
+            with pytest.raises(ValueError):
+                chunk[0] = -1
+            assert np.array_equal(reader.read_range(0, 2), values[:2])
+            assert reader.element(0) == values[0]
+
     @settings(max_examples=30, deadline=None)
     @given(start=st.integers(0, 99_999), length=st.integers(0, 40_000))
     def test_arbitrary_ranges_property(self, reader, stored, start, length):
@@ -135,3 +153,198 @@ class TestIntegrity:
         with pytest.raises(TruncatedContainerError) as excinfo:
             ContainerReader(payload[:keep])
         assert "byte offset" in str(excinfo.value)
+
+
+# -- the kept tier: solver output of evicted partitioned chunks -----------
+
+_KEPT_CHUNK = 20_000  # large enough for the analyzer to find raw columns
+
+
+def _loads(registry: MetricsRegistry, source: str) -> float:
+    return registry.get("isobar_reader_chunk_loads_total").value(source=source)
+
+
+def _evict_then_reread(n_chunks: int, capacity: int) -> list[int]:
+    """A read order in which every chunk is evicted from a cache of
+    ``capacity`` decoded chunks and then read again."""
+    order = []
+    for i in range(n_chunks):
+        order.append(i)
+        order.extend((i + k) % n_chunks for k in range(1, capacity + 1))
+        order.append(i)
+    return order
+
+
+def _write(tmp_path, values, **config):
+    cfg = IsobarConfig(
+        chunk_elements=_KEPT_CHUNK, sample_elements=1024, codec="zlib",
+        **config,
+    )
+    payload = repro.compress(values, config=cfg)
+    path = tmp_path / "kept.isobar"
+    path.write_bytes(payload)
+    return path, payload
+
+
+def _modes(payload):
+    return [e.metadata.mode for e in ContainerReader(payload).chunk_index()]
+
+
+class TestKeptTier:
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("linearization", list(Linearization))
+    @pytest.mark.parametrize(
+        "dtype, noise_bytes",
+        [(np.float32, 2), (np.float64, 6), (np.int64, 4)],
+    )
+    def test_rebuilds_match_decompress(
+        self, tmp_path, capacity, linearization, dtype, noise_bytes
+    ):
+        rng = np.random.default_rng(5)
+        values = build_structured(4 * _KEPT_CHUNK, dtype, noise_bytes, rng)
+        path, payload = _write(tmp_path, values, linearization=linearization)
+        entries = ContainerReader(payload).chunk_index()
+        assert ContainerReader(payload).header.linearization is linearization
+        # Guard: every chunk must have solver and raw columns, or there
+        # is nothing to keep and the test proves nothing.
+        for e in entries:
+            assert e.metadata.mode is ChunkMode.PARTITIONED
+            assert 0 < e.metadata.mask.sum() < e.metadata.mask.size
+        expected = repro.decompress(payload).reshape(-1).view(np.uint8)
+        registry = MetricsRegistry()
+        rebuilt = set()
+        with ContainerFile(
+            path, cache_chunks=capacity, metrics=registry
+        ) as reader:
+            for i in _evict_then_reread(reader.n_chunks, capacity):
+                e = entries[i]
+                before = _loads(registry, "kept")
+                got = reader.read_chunk(i)
+                if _loads(registry, "kept") > before:
+                    rebuilt.add(i)
+                assert got.dtype == reader.header.dtype
+                assert np.array_equal(
+                    got.view(np.uint8),
+                    expected[e.element_start * got.itemsize:
+                             e.element_stop * got.itemsize],
+                )
+        assert rebuilt == set(range(len(entries)))
+
+    def test_passthrough_and_fallback_chunks_are_never_kept(self, tmp_path):
+        rng = np.random.default_rng(9)
+        structured = build_structured(4 * _KEPT_CHUNK, np.float64, 6, rng)
+        # No noise columns: the analyzer passes these chunks through.
+        smooth = build_structured(2 * _KEPT_CHUNK, np.float64, 0, rng)
+        values = np.concatenate([structured[:2 * _KEPT_CHUNK], smooth,
+                                 structured[2 * _KEPT_CHUNK:]])
+        want = {ChunkMode.PARTITIONED, ChunkMode.PASSTHROUGH,
+                ChunkMode.FALLBACK_ZLIB}
+        for seed in range(50):
+            with chaos_codec(FlakyCodec("zlib", fail_percent=30.0, seed=seed)):
+                path, payload = _write(
+                    tmp_path, values, linearization=Linearization.ROW
+                )
+            if want <= set(_modes(payload)):
+                break
+        else:
+            raise AssertionError("no chaos seed mixes all three modes")
+        entries = ContainerReader(payload).chunk_index()
+        keepable = {
+            e.index for e in entries
+            if e.metadata.mode is ChunkMode.PARTITIONED
+            and 0 < e.metadata.mask.sum() < e.metadata.mask.size
+        }
+        assert keepable and len(keepable) < len(entries)
+        expected = repro.decompress(payload).reshape(-1)
+        registry = MetricsRegistry()
+        rebuilt = set()
+        with ContainerFile(path, cache_chunks=1, metrics=registry) as reader:
+            for i in _evict_then_reread(reader.n_chunks, 1):
+                e = entries[i]
+                before = _loads(registry, "kept")
+                got = reader.read_chunk(i)
+                if _loads(registry, "kept") > before:
+                    rebuilt.add(i)
+                assert np.array_equal(
+                    got.view(np.uint8),
+                    expected[e.element_start:e.element_stop].view(np.uint8),
+                )
+        assert rebuilt == keepable
+
+    def test_kept_tier_is_bounded(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = build_structured(12 * _KEPT_CHUNK, np.float64, 6, rng)
+        path, _ = _write(tmp_path, values)
+        reads = np.random.default_rng(4).integers(0, 12, size=200)
+        for capacity in (0, 1, 3):
+            with ContainerFile(path, cache_chunks=capacity) as reader:
+                for i in reads:
+                    reader.read_chunk(int(i))
+                    assert reader.cached_chunks <= capacity
+                    assert reader._cache.kept_streams <= capacity
+                if capacity:
+                    assert reader._cache.kept_streams == capacity
+        with ContainerFile(path) as unbounded:
+            for i in reads:
+                unbounded.read_chunk(int(i))
+            assert unbounded.cached_chunks == 12
+            assert unbounded._cache.kept_streams == 0
+
+
+class TestKeptTierDamage:
+    """A kept stream never outlives the bytes it was derived from."""
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = build_structured(3 * _KEPT_CHUNK, np.float64, 6, rng)
+        path, payload = _write(tmp_path, values)
+        return path, payload, values
+
+    @staticmethod
+    def _rewrite(path, payload, region):
+        """Invert one region of chunk 0 on disk, keeping its length."""
+        entry = ContainerReader(payload).chunk_index()[0]
+        if region == "raw":
+            start = entry.payload_offset + entry.compressed_size
+            length = entry.incompressible_size
+        else:
+            start = entry.payload_offset
+            length = entry.compressed_size
+        start += length // 2
+        with open(path, "r+b") as handle:
+            handle.seek(start)
+            handle.write(bytes(b ^ 0xFF for b in payload[start:start + 16]))
+
+    @pytest.mark.parametrize("region", ["raw", "solver"])
+    def test_raises_like_a_fresh_reader(self, archive, region):
+        path, payload, _ = archive
+        registry = MetricsRegistry()
+        with ContainerFile(path, cache_chunks=1, metrics=registry) as reader:
+            reader.read_chunk(0)
+            reader.read_chunk(1)  # evicts chunk 0: its stream is kept
+            assert reader._cache.kept_streams == 1
+            self._rewrite(path, payload, region)
+            with pytest.raises(IsobarError) as kept:
+                reader.read_chunk(0)
+        with ContainerFile(path) as fresh:
+            with pytest.raises(IsobarError) as direct:
+                fresh.read_chunk(0)
+        assert type(kept.value) is type(direct.value)
+        assert str(kept.value) == str(direct.value)
+        assert "chunk 0 at byte offset" in str(kept.value)
+        assert _loads(registry, "kept") == 0
+
+    @pytest.mark.parametrize("region", ["raw", "solver"])
+    def test_salvage_zero_fills(self, archive, region):
+        path, payload, values = archive
+        with ContainerFile(
+            path, cache_chunks=1, errors="salvage-zero"
+        ) as reader:
+            reader.read_chunk(0)
+            reader.read_chunk(1)
+            self._rewrite(path, payload, region)
+            assert not reader.read_chunk(0).any()
+            assert np.array_equal(
+                reader.read_chunk(1), values[_KEPT_CHUNK:2 * _KEPT_CHUNK]
+            )
