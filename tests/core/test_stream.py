@@ -1,5 +1,8 @@
 """Unit tests for streaming file-to-file compression."""
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,10 @@ from repro.core.exceptions import (
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
 from repro.core.stream import StreamingWriter, stream_compress, stream_decompress
+from repro.datasets.registry import get_dataset
 from repro.datasets.synthetic import build_structured
 from repro.testing.faults import chunk_chain_end
+from tests.core.probe_digest_battery import frozen_probe_clock
 
 _CFG = IsobarConfig(chunk_elements=10_000, sample_elements=2048)
 
@@ -425,3 +430,119 @@ class TestStrictChainCoverage:
                 yielded.append(chunk)
         # Every walked chunk still arrives before the coverage check.
         assert sum(chunk.size for chunk in yielded) == covered
+
+
+def _structured(n, dtype=np.float64, noise=6):
+    return build_structured(n, dtype, noise, np.random.default_rng(2024))
+
+
+def _sizes(values, sizes):
+    out, start = [], 0
+    for size in sizes:
+        out.append(values[start:start + size])
+        start += size
+    return out
+
+
+def _fresh_selector(name, config):
+    from repro.core.selector_learned import (
+        CachedSelector,
+        LearnedSelector,
+        OnlineRatioModel,
+        SelectorDecisionCache,
+    )
+
+    learned = LearnedSelector(config, model=OnlineRatioModel())
+    if name == "learned":
+        return config.replace(selector=learned)
+    return config.replace(selector=CachedSelector(
+        config, cache=SelectorDecisionCache(), inner=learned
+    ))
+
+
+def _noise(n):
+    info = np.iinfo(np.int64)
+    return np.random.default_rng(7).integers(
+        info.min, info.max, n, dtype=np.int64
+    )
+
+
+#: name -> (dtype, chunks, config); ``_CFG`` chunks at 10 000 elements
+#: and samples 2 048, so only the ``reuse`` case (whole-chunk samples)
+#: lets chunk 0 store the probe's winning stream.
+_DIGEST_CASES = {
+    "equal": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000), _CFG),
+    "uneven": lambda: (
+        np.float64, _chunks(_structured(35_000), 7_000), _CFG),
+    "first_larger": lambda: (
+        np.float64, _sizes(_structured(35_000), (25_000, 10_000)), _CFG),
+    "reuse": lambda: (
+        np.float64, _chunks(_structured(40_000), 20_000),
+        _CFG.replace(chunk_elements=20_000, sample_elements=20_000)),
+    "float32": lambda: (
+        np.float32, _chunks(_structured(30_000, np.float32, 2), 10_000),
+        _CFG),
+    "int64": lambda: (
+        np.int64,
+        _chunks(get_dataset("xgc_igid").generate(n_elements=30_000), 10_000),
+        _CFG),
+    "noise": lambda: (np.int64, _chunks(_noise(20_000), 10_000), _CFG),
+    "speed": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000),
+        _CFG.replace(preference="speed")),
+    "learned": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000),
+        _fresh_selector("learned", _CFG)),
+    "cached": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000),
+        _fresh_selector("cached", _CFG)),
+    "pinned": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000),
+        _CFG.replace(codec="bzip2", linearization="row")),
+    "no_resilience": lambda: (
+        np.float64, _chunks(_structured(30_000), 10_000),
+        _CFG.replace(resilience=None)),
+    "empty": lambda: (np.float64, [], _CFG),
+    "zero_length_ends": lambda: (
+        np.float64,
+        [np.empty(0), *_chunks(_structured(20_000), 10_000), np.empty(0)],
+        _CFG),
+}
+
+#: sha256 prefixes of each case's container.
+_STREAM_DIGESTS = {
+    "cached": "eec9cae87cb0817a",
+    "empty": "c7184f6fbb5953e1",
+    "equal": "eec9cae87cb0817a",
+    "first_larger": "5419153477a71403",
+    "float32": "046c1af3d9ef0c44",
+    "int64": "a2544faf6617113c",
+    "learned": "eec9cae87cb0817a",
+    "no_resilience": "eec9cae87cb0817a",
+    "noise": "5a7ed72c72a16290",
+    "pinned": "4d8563687f158d43",
+    "reuse": "609138884d237de9",
+    "speed": "e7d42876bbd9a07a",
+    "uneven": "fbcc3a707caa13d9",
+    "zero_length_ends": "0be80183aad2219c",
+}
+
+
+class TestStreamDigests:
+    """StreamingWriter containers stay byte-identical: decision, chunk
+    encoding, header and footer of every case are pinned."""
+
+    @pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
+    def test_container_digest(self, case):
+        dtype, chunks, config = _DIGEST_CASES[case]()
+        sink = io.BytesIO()
+        # Frozen probe timings make SPEED decisions a function of the
+        # data alone; RATIO decisions never read the clock.
+        with frozen_probe_clock():
+            writer = StreamingWriter(sink, dtype, config)
+            for chunk in chunks:
+                writer.write_chunk(chunk)
+            writer.close()
+        digest = hashlib.sha256(sink.getvalue()).hexdigest()[:16]
+        assert digest == _STREAM_DIGESTS[case]
