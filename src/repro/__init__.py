@@ -21,9 +21,7 @@ Streaming (constant memory, crash-safe writes)::
     restored = np.concatenate(list(repro.open_stream("out.isbr")))
 
 ``repro.compress`` / ``repro.decompress`` / ``repro.open_stream`` are
-the stable facade (see ``docs/api.md``); the legacy one-liners
-``isobar_compress`` / ``isobar_decompress`` remain as deprecated
-aliases.
+the stable facade (see ``docs/api.md``).
 
 The package splits into:
 
@@ -66,8 +64,6 @@ from repro.core import (
     SalvageReport,
     SalvageResult,
     analyze,
-    isobar_compress,
-    isobar_decompress,
     salvage_decompress,
 )
 from repro.observability import (
@@ -105,8 +101,6 @@ __all__ = [
     "compress",
     "decompress",
     "fsck",
-    "isobar_compress",
-    "isobar_decompress",
     "open_stream",
     "plan",
     "registry_from_json",

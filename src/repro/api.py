@@ -15,9 +15,6 @@ All options funnel through :class:`~repro.core.preferences.IsobarConfig`
 knobs (``preference``, ``codec``/``linearization`` overrides) available
 directly.  Everything here is re-exported at the package root, so
 ``repro.compress(...)`` is the canonical spelling.
-
-The legacy one-liners ``isobar_compress`` / ``isobar_decompress``
-remain importable as deprecated aliases of these functions.
 """
 
 from __future__ import annotations

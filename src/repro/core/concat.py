@@ -24,6 +24,8 @@ Constraints checked before merging (mismatches raise):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.exceptions import ContainerFormatError, InvalidInputError
 from repro.core.metadata import (
     ChunkIndexEntry,
@@ -96,15 +98,10 @@ def concat_containers(containers: list[bytes]) -> bytes:
 
     total_elements = sum(header.n_elements for header, _, _ in parsed)
     total_chunks = sum(header.n_chunks for header, _, _ in parsed)
-    merged_header = ContainerHeader(
-        dtype=first.dtype,
+    merged_header = replace(
+        first,
         n_elements=total_elements,
         shape=(total_elements,),
-        codec_name=first.codec_name,
-        linearization=first.linearization,
-        preference=first.preference,
-        tau=first.tau,
-        chunk_elements=first.chunk_elements,
         n_chunks=total_chunks,
     )
     header_bytes = merged_header.encode()

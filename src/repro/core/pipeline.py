@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import zlib as _zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
@@ -67,7 +66,6 @@ from repro.core.partitioner import partition, reassemble_matrix
 from repro.core.preferences import (
     IsobarConfig,
     Linearization,
-    Preference,
     normalize_errors,
     salvage_policy_for,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "decode_chunk_payload",
     "encode_chunk_payload",
     "index_footer_from_reports",
-    "isobar_compress",
-    "isobar_decompress",
 ]
 
 _JobT = TypeVar("_JobT")
@@ -817,7 +813,7 @@ class IsobarCompressor:
 
         select_start = time.perf_counter()
         decision, codec, lead_analysis, lead_seconds, trial = self._decide(
-            flat, tracer
+            flat, flat[: self._config.chunk_elements], tracer
         )
         select_seconds = time.perf_counter() - select_start - lead_seconds
         tracer.add("select", select_seconds)
@@ -841,16 +837,8 @@ class IsobarCompressor:
         reports = [report for _, report in outcomes]
 
         merge_start = time.perf_counter()
-        header = ContainerHeader(
-            dtype=arr.dtype,
-            n_elements=flat.size,
-            shape=arr.shape,
-            codec_name=decision.codec_name,
-            linearization=decision.linearization,
-            preference=self._config.preference,
-            tau=self._config.tau,
-            chunk_elements=self._config.chunk_elements,
-            n_chunks=len(chunk_blobs),
+        header = self._header(
+            decision, arr.dtype, arr.shape, flat.size, len(chunk_blobs)
         )
         header_bytes = header.encode()
         footer_bytes = index_footer_from_reports(
@@ -875,54 +863,87 @@ class IsobarCompressor:
         )
         if self._metrics.enabled:
             self._finish_compress_run(
-                result, tracer, time.perf_counter() - wall_start
+                header, reports, len(payload), tracer,
+                time.perf_counter() - wall_start,
             )
         return result
 
+    def _header(
+        self,
+        decision: SelectorDecision,
+        dtype: np.dtype,
+        shape: tuple[int, ...],
+        n_elements: int,
+        n_chunks: int,
+    ) -> ContainerHeader:
+        """The container header for ``decision`` under this config.
+
+        The one place the write side frames a container: the one-shot
+        merge and the streaming writer's placeholder and final patch.
+        """
+        return ContainerHeader(
+            dtype=dtype,
+            n_elements=n_elements,
+            shape=shape,
+            codec_name=decision.codec_name,
+            linearization=decision.linearization,
+            preference=self._config.preference,
+            tau=self._config.tau,
+            chunk_elements=self._config.chunk_elements,
+            n_chunks=n_chunks,
+        )
+
     def _finish_compress_run(
-        self, result: CompressionResult, tracer: AnyTracer,
+        self,
+        header: ContainerHeader,
+        reports: tuple[ChunkReport, ...] | list[ChunkReport],
+        output_bytes: int,
+        tracer: AnyTracer,
         wall_seconds: float,
     ) -> None:
         """Record run-level metrics and build the per-run report."""
-        improvable = sum(1 for c in result.chunks if c.improvable)
+        improvable = sum(1 for r in reports if r.improvable)
+        input_bytes = header.n_elements * header.element_width
         self._instruments.runs.inc(1, operation="compress")
-        self._instruments.input_bytes.inc(
-            result.original_bytes, operation="compress"
-        )
-        self._instruments.output_bytes.inc(
-            result.compressed_bytes, operation="compress"
-        )
+        self._instruments.input_bytes.inc(input_bytes, operation="compress")
+        self._instruments.output_bytes.inc(output_bytes, operation="compress")
         self._last_report = PipelineReport(
             operation="compress",
-            codec_name=result.decision.codec_name,
-            linearization=result.decision.linearization.value,
-            n_chunks=len(result.chunks),
+            codec_name=header.codec_name,
+            linearization=header.linearization.value,
+            n_chunks=len(reports),
             improvable_chunks=improvable,
-            undetermined_chunks=len(result.chunks) - improvable,
-            solver_bytes=result.solver_bytes,
-            raw_bytes=result.noise_bytes,
-            input_bytes=result.original_bytes,
-            output_bytes=result.compressed_bytes,
+            undetermined_chunks=len(reports) - improvable,
+            solver_bytes=sum(r.solver_bytes for r in reports),
+            raw_bytes=sum(r.noise_bytes for r in reports),
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
             stage_seconds=tracer.stage_seconds(),
             wall_seconds=wall_seconds,
         )
 
     def _decide(
-        self, flat: np.ndarray, tracer: AnyTracer = NULL_TRACER
+        self,
+        flat: np.ndarray,
+        lead: np.ndarray,
+        tracer: AnyTracer = NULL_TRACER,
     ) -> tuple[
         SelectorDecision, Codec, AnalysisResult | None, float,
         ProbeTrial | None,
     ]:
-        """Run the selector on the leading chunk's analysis.
+        """Run the selector on ``flat`` with the lead chunk's analysis.
 
-        Returns the decision, the codec, the lead chunk's analysis
-        (reusable verbatim for chunk 0, which *is* the lead sample), the
-        seconds that analysis took — attributed to the ``analyze``
-        stage here so the select stage only accounts for the sampling
-        race itself — and the probe's winning trial when chunk 0 may
-        store it: the decision is this call's only probe, its sample is
-        the whole input, the input is one chunk, and the probe
-        partitioned by chunk 0's analysis.
+        ``lead`` is the chunk the decision is analyzed on and that
+        becomes chunk 0: the one-shot path passes
+        ``flat[:chunk_elements]``, the streaming writer its whole first
+        chunk.  Returns the decision, the codec, the lead's analysis
+        (reusable verbatim for chunk 0), the seconds that analysis took
+        — attributed to the ``analyze`` stage here so the select stage
+        only accounts for the sampling race itself — and the probe's
+        winning trial when chunk 0 may store it: the decision is this
+        call's only probe, its sample is the whole input, the input is
+        the lead alone, and the probe partitioned by the lead's
+        analysis.
         """
         if flat.size == 0:
             # Empty stream: nothing to sample; fall back to configured
@@ -938,7 +959,6 @@ class IsobarCompressor:
                 sample_elements=0,
             )
             return decision, get_codec(codec_name), None, 0.0, None
-        lead = flat[: min(flat.size, self._config.chunk_elements)]
         analyze_start = time.perf_counter()
         analysis = analyze(lead, tau=self._config.tau)
         lead_seconds = time.perf_counter() - analyze_start
@@ -1181,67 +1201,3 @@ class IsobarCompressor:
             stage_seconds=tracer.stage_seconds(),
             wall_seconds=wall_seconds,
         )
-
-
-# Deprecated aliases warn once per process, not once per call — the
-# one-liners sit in tight loops in older scripts.
-_DEPRECATION_WARNED: set[str] = set()
-_DEPRECATION_LOCK = threading.Lock()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    with _DEPRECATION_LOCK:
-        if name in _DEPRECATION_WARNED:
-            return
-        _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Testing hook: re-arm the once-per-process deprecation warnings."""
-    with _DEPRECATION_LOCK:
-        _DEPRECATION_WARNED.clear()
-
-
-def isobar_compress(
-    values: np.ndarray,
-    preference: Preference | str = Preference.RATIO,
-    *,
-    codec: str | None = None,
-    linearization: Linearization | str | None = None,
-    config: IsobarConfig | None = None,
-) -> bytes:
-    """Deprecated alias of :func:`repro.compress`.
-
-    One-call ISOBAR compression with the paper's defaults.  Retained
-    for backwards compatibility; emits a :class:`DeprecationWarning`
-    (once per process) and forwards to the facade.
-    """
-    _warn_deprecated("isobar_compress", "repro.compress")
-    from repro.api import compress
-
-    return compress(
-        values,
-        preference=preference,
-        codec=codec,
-        linearization=linearization,
-        config=config,
-    )
-
-
-def isobar_decompress(data: bytes, *, errors: str = "raise") -> np.ndarray:
-    """Deprecated alias of :func:`repro.decompress`.
-
-    ``errors`` selects the damage policy: ``"raise"`` (strict,
-    default), ``"salvage-skip"`` or ``"salvage-zero"`` (lenient salvage
-    decode — see :func:`repro.core.salvage.salvage_decompress`); the
-    legacy ``"skip"`` / ``"zero_fill"`` spellings keep working.
-    """
-    _warn_deprecated("isobar_decompress", "repro.decompress")
-    from repro.api import decompress
-
-    return decompress(data, errors=errors)

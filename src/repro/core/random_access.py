@@ -396,13 +396,17 @@ class _RangeReaderBase:
         return chunk[offset]
 
     def read_all(self) -> np.ndarray:
-        """Decode the whole container (equivalent to the pipeline path)."""
+        """Decode the whole container (equivalent to the pipeline path).
+
+        Under ``errors="salvage-skip"`` the elements of damaged chunks
+        are dropped, and the flat survivors are returned unshaped.
+        """
         flat = self.read_range(0, self.n_elements)
         shape = self._header.shape
         n_shape = 1
         for dim in shape:
             n_shape *= dim
-        if shape and n_shape == self.n_elements:
+        if shape and n_shape == flat.size:
             return flat.reshape(shape)
         return flat
 

@@ -58,7 +58,6 @@ SUITE_LOCKS: tuple[tuple[str, str], ...] = (
     ("repro.codecs.base", "_REGISTRY_LOCK"),
     ("repro.codecs.procpool", "_POOL_LOCK"),
     ("repro.core.selector", "_STRATEGY_LOCK"),
-    ("repro.core.pipeline", "_DEPRECATION_LOCK"),
 )
 
 

@@ -92,13 +92,6 @@ def cpu_decompress_speedups():
     return speedups
 
 
-@pytest.fixture
-def wall_clock_selected(request):
-    """Run a wall-clock assertion only when ``-m perf`` selects it."""
-    if "perf" not in (request.config.getoption("markexpr") or ""):
-        pytest.skip("wall-clock form: select it with -m perf")
-
-
 class TestStaticTables:
     def test_table1_lists_seven_applications(self):
         report = table1_datasets()

@@ -77,6 +77,13 @@ def sanitizer():
 
 
 @pytest.fixture
+def wall_clock_selected(request):
+    """Run a wall-clock assertion only when ``-m perf`` selects it."""
+    if "perf" not in (request.config.getoption("markexpr") or ""):
+        pytest.skip("wall-clock form: select it with -m perf")
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh, fixed-seed random generator per test."""
     return np.random.default_rng(12345)

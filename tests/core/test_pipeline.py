@@ -5,11 +5,8 @@ import pytest
 
 from repro.core.exceptions import InvalidInputError, UnknownCodecError
 from repro.core.metadata import ChunkMode
-from repro.core.pipeline import (
-    IsobarCompressor,
-    isobar_compress,
-    isobar_decompress,
-)
+from repro import compress, decompress
+from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig, Linearization, Preference
 from repro.datasets.synthetic import build_structured
 
@@ -114,7 +111,7 @@ class TestCompressionBehaviour:
         import zlib
 
         values = build_structured(40_000, np.float64, 6, rng)
-        payload = isobar_compress(values)
+        payload = compress(values)
         standalone = zlib.compress(values.tobytes())
         assert len(payload) < len(standalone)
 
@@ -157,30 +154,30 @@ class TestCompressionBehaviour:
 
 class TestConvenienceApi:
     def test_isobar_compress_decompress(self, improvable_doubles):
-        payload = isobar_compress(improvable_doubles, preference="speed")
-        assert np.array_equal(isobar_decompress(payload), improvable_doubles)
+        payload = compress(improvable_doubles, preference="speed")
+        assert np.array_equal(decompress(payload), improvable_doubles)
 
     def test_keyword_overrides(self, improvable_doubles):
-        payload = isobar_compress(
+        payload = compress(
             improvable_doubles, codec="zlib", linearization="column"
         )
-        assert np.array_equal(isobar_decompress(payload), improvable_doubles)
+        assert np.array_equal(decompress(payload), improvable_doubles)
 
     def test_unknown_codec_override(self, improvable_doubles):
         with pytest.raises(UnknownCodecError):
-            isobar_compress(improvable_doubles, codec="snappy")
+            compress(improvable_doubles, codec="snappy")
 
     def test_config_passthrough(self, improvable_doubles):
         config = IsobarConfig(chunk_elements=5_000, sample_elements=2048)
-        payload = isobar_compress(improvable_doubles, config=config)
-        assert np.array_equal(isobar_decompress(payload), improvable_doubles)
+        payload = compress(improvable_doubles, config=config)
+        assert np.array_equal(decompress(payload), improvable_doubles)
 
 
 class TestValidation:
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(InvalidInputError):
-            isobar_compress(np.zeros(10, dtype=np.complex64))
+            compress(np.zeros(10, dtype=np.complex64))
 
     def test_rejects_object_arrays(self):
         with pytest.raises((InvalidInputError, TypeError, ValueError)):
-            isobar_compress(np.array([object()]))
+            compress(np.array([object()]))

@@ -143,6 +143,25 @@ class TestIntegrity:
         with pytest.raises(ChecksumError):
             reader.read_chunk(reader.n_chunks - 1)
 
+    def test_salvage_skip_read_all_matches_decompress(self, stored, tmp_path):
+        # Skipping the damaged chunk leaves fewer elements than the
+        # header's shape holds; both readers return what the salvage
+        # decoder returns instead of failing the reshape.
+        payload, _ = stored
+        corrupted = bytearray(payload)
+        corrupted[chunk_chain_end(payload) - 2] ^= 0xFF
+        corrupted = bytes(corrupted)
+        expected = IsobarCompressor().decompress(
+            corrupted, errors="salvage-skip"
+        )
+        assert expected.size == 75_000
+        reader = ContainerReader(corrupted, errors="salvage-skip")
+        assert np.array_equal(reader.read_all(), expected)
+        path = tmp_path / "c.isobar"
+        path.write_bytes(corrupted)
+        with ContainerFile(path, errors="salvage-skip") as file_reader:
+            assert np.array_equal(file_reader.read_all(), expected)
+
     def test_truncated_container_rejected_at_index(self, stored):
         payload, _ = stored
         from repro.core.exceptions import TruncatedContainerError

@@ -546,3 +546,17 @@ class TestStreamDigests:
             writer.close()
         digest = hashlib.sha256(sink.getvalue()).hexdigest()[:16]
         assert digest == _STREAM_DIGESTS[case]
+
+    @pytest.mark.parametrize("case, reused", [("reuse", 1), ("equal", 0)])
+    def test_chunk_zero_stores_probe_trial(self, case, reused):
+        """A first chunk the probe sampled whole stores the probe's
+        winning stream, as the one-shot pipeline's chunk 0 does."""
+        dtype, chunks, config = _DIGEST_CASES[case]()
+        writer = StreamingWriter(
+            io.BytesIO(), dtype, config, collect_metrics=True
+        )
+        for chunk in chunks:
+            writer.write_chunk(chunk)
+        writer.close()
+        counter = writer.metrics.get("isobar_selector_trials_reused_total")
+        assert counter.value() == reused

@@ -13,8 +13,8 @@ from repro import (
     IsobarConfig,
     Preference,
     analyze,
-    isobar_compress,
-    isobar_decompress,
+    compress,
+    decompress,
 )
 from repro.codecs import FpcCodec, FpzipLikeCodec
 from repro.datasets import (
@@ -89,8 +89,8 @@ def test_linearized_stream_compression_and_exact_restore():
     perm = ordering_indices("hilbert", field.shape)
     stream = apply_order(field, perm)
 
-    payload = isobar_compress(stream, preference="speed")
-    restored_stream = isobar_decompress(payload)
+    payload = compress(stream, preference="speed")
+    restored_stream = decompress(payload)
     restored_field = restored_stream[invert_permutation(perm)].reshape(
         field.shape
     )
@@ -113,8 +113,8 @@ def test_isobar_container_vs_specialised_codecs():
     """All three compressor families round-trip the same dataset."""
     values = generate_dataset("gts_chkp_zeon", n_elements=20_000)
 
-    payload = isobar_compress(values)
-    assert np.array_equal(isobar_decompress(payload), values)
+    payload = compress(values)
+    assert np.array_equal(decompress(payload), values)
 
     fpc = FpcCodec()
     assert np.array_equal(fpc.decode(fpc.encode(values)), values)

@@ -53,8 +53,8 @@ def test_readme_quickstart_names():
         IsobarConfig,
         Preference,
         analyze,
-        isobar_compress,
-        isobar_decompress,
+        compress,
+        decompress,
     )
 
 

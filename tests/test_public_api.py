@@ -1,21 +1,18 @@
 """Contract tests for the public facade (``repro.compress`` et al.).
 
 Covers the stability guarantees ``docs/api.md`` documents: facade
-signatures, the once-per-process deprecation of the legacy one-liners,
-the star-import surface, the unified ``errors=`` vocabulary, the
-container-overhead accounting, and byte-level interoperability between
-the ``isal-zlib`` codec and plain stdlib zlib.
+signatures, the star-import surface, the unified ``errors=``
+vocabulary, the container-overhead accounting, and byte-level
+interoperability between the ``isal-zlib`` codec and plain stdlib zlib.
 """
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
 from repro.codecs import IsalZlibCodec, ZlibCodec, get_codec
-from repro.core import pipeline as _pipeline
 from repro.core.exceptions import ConfigurationError
 from repro.core.preferences import (
     ERROR_POLICIES,
@@ -86,41 +83,6 @@ class TestFacade:
     def test_facade_names_exported(self):
         assert {"compress", "decompress", "open_stream",
                 "ERROR_POLICIES"} <= set(repro.__all__)
-
-
-class TestDeprecatedAliases:
-    def test_aliases_warn_exactly_once(self, data):
-        _pipeline._reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            blob = repro.isobar_compress(data)
-            repro.isobar_compress(data)
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "isobar_compress" in str(w.message)
-        ]
-        assert len(messages) == 1
-        assert "repro.compress" in messages[0]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            restored = repro.isobar_decompress(blob)
-            repro.isobar_decompress(blob)
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "isobar_decompress" in str(w.message)
-        ]
-        assert len(messages) == 1
-        assert np.array_equal(restored, data)
-
-    def test_aliases_match_facade_output(self, data):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.isobar_compress(data, preference="speed")
-        facade = repro.compress(data, preference="speed")
-        assert legacy == facade
 
 
 class TestErrorsVocabulary:
